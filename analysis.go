@@ -32,6 +32,46 @@ import (
 // with no events.
 var ErrNoEvents = errors.New("repro: stream has no events")
 
+// ErrPlanTooLarge is returned, wrapped with the offending option and
+// its bound, when an option whose value becomes an allocation size
+// exceeds its limit (MaxGridPoints, MaxRefine, MaxHistogramBins,
+// MaxAdaptiveBins).
+var ErrPlanTooLarge = errors.New("repro: plan exceeds a size limit")
+
+// Limits on the options whose value becomes an allocation size: a
+// derived grid pre-allocates one slot per requested point (WithGridPoints,
+// and WithRefine's refinement grid), and histogram and adaptive bins
+// size one counter array per period or per stream. NewAnalysis rejects
+// larger values, so an oversized spec fails before any allocation.
+const (
+	MaxGridPoints    = 1 << 12
+	MaxRefine        = 1 << 12
+	MaxHistogramBins = 1 << 16
+	MaxAdaptiveBins  = 1 << 16
+)
+
+// checkLimits enforces the allocation-size limits on the options.
+func (c *planConfig) checkLimits() error {
+	adaptiveBins := 0
+	if c.adaptive != nil {
+		adaptiveBins = c.adaptive.Bins
+	}
+	for _, l := range []struct {
+		name   string
+		v, max int
+	}{
+		{"grid points", c.gridPoints, MaxGridPoints},
+		{"refine", c.refine, MaxRefine},
+		{"histogram bins", c.histogramBins, MaxHistogramBins},
+		{"adaptive bins", adaptiveBins, MaxAdaptiveBins},
+	} {
+		if l.v > l.max {
+			return fmt.Errorf("%w: %s %d exceeds %d", ErrPlanTooLarge, l.name, l.v, l.max)
+		}
+	}
+	return nil
+}
+
 // Plan is an immutable, validated analysis request: which metrics to
 // compute, over which candidate grids and windows, under which
 // refinement policy and engine budgets. Build one with NewAnalysis and
@@ -70,7 +110,8 @@ type Plan struct {
 //	report, err := plan.Run(ctx)
 //
 // Every metric, window and custom observer of one plan shares a single
-// fused engine pass per bisection round: the stream is sorted once,
+// fused engine pass, and a refined plan one more for the refinement
+// grids of its occupancy searches: the stream is sorted once,
 // each distinct (window, ∆) aggregation is built and swept exactly
 // once, and at most the configured MaxInFlight periods are resident at
 // any moment.
@@ -84,6 +125,9 @@ func NewAnalysis(s *Stream, opts ...Option) (*Plan, error) {
 		if err := o(&cfg); err != nil {
 			return nil, err
 		}
+	}
+	if err := cfg.checkLimits(); err != nil {
+		return nil, err
 	}
 	var col *linkstream.Columnar
 	if cfg.streamPath != "" {
@@ -356,22 +400,6 @@ func (mo metricObservers) curves() Curves {
 	return cv
 }
 
-// coreOptions maps the plan's configuration onto the occupancy-method
-// options of one scale search over grid.
-func (p *Plan) coreOptions(grid []int64) core.Options {
-	return core.Options{
-		Directed:      p.cfg.directed,
-		Workers:       p.cfg.workers,
-		Selectors:     p.cfg.selectors,
-		Refine:        p.cfg.refine,
-		HistogramBins: p.cfg.histogramBins,
-		MaxInFlight:   p.cfg.maxInFlight,
-		LaneWidth:     p.cfg.laneWidth,
-		Speculate:     p.cfg.speculate,
-		Grid:          grid,
-	}
-}
-
 // windowGrids resolves the candidate grid of every plan window, in
 // WithWindows order: an explicit Window.Grid is used as-is, an empty
 // one derives a logarithmic grid from the window's own resolution and
@@ -406,151 +434,214 @@ func (p *Plan) windowGrids() ([][]int64, error) {
 	return grids, nil
 }
 
-// scopeRun is the per-scope execution state of a standard (non-adaptive)
-// run: the global scope or one plan window.
+// scopeRun is one scope of a standard (non-adaptive) run — the global
+// scope or one plan window — as the round driver advances it, locally
+// or distributed.
 type scopeRun struct {
-	window   *Window // nil for the global scope
-	start    int64   // engine window bounds; 0,0 selects the whole stream
-	end      int64
-	grid     []int64 // round-0 grid for scopes without a search
-	search   *core.ScaleSearch
-	mo       metricObservers
-	extraObs []sweep.Observer // round-0 co-observers (metrics + custom)
-	res      core.Result
-	hasRes   bool
-	done     bool
+	scope      int     // GlobalScope or the plan window's index
+	start, end int64   // engine window bounds; 0,0 selects the whole stream
+	grid       []int64 // the scope's whole candidate grid, scored in round 0
+	search     *core.ScaleSearch
+	shards     []ShardPlan // round-0 chunk shards of a distributed run
+	cv         Curves
+	res        Result
+	hasRes     bool
 }
 
-// runStandard executes the plan's scopes — the global analysis, every
-// window, every raw segment — as one fused engine pass per bisection
-// round: round 0 carries every scope's grid plus all curve observers
-// and raw segments, later rounds only the still-refining occupancy
-// searches.
-func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
+// scopes builds the scopes of a standard run in report order: the
+// global scope (unless the plan drops it or has nothing to attach to
+// it), then every plan window, each with an occupancy search when the
+// plan computes occupancy.
+func (p *Plan) scopes() ([]*scopeRun, error) {
 	c := &p.cfg
-	var stats EngineStats
-	engOpt := sweep.Options{
-		Directed:      c.directed,
-		Workers:       c.workers,
-		MaxInFlight:   c.maxInFlight,
-		HistogramBins: c.histogramBins,
-		LaneWidth:     c.laneWidth,
-		Stats:         &stats,
-	}
-
-	var runs []*scopeRun
+	var scopes []*scopeRun
 	if (c.anyMetric() || len(c.observers) > 0) && !c.noGlobal {
-		sr := &scopeRun{grid: c.grid}
-		if c.metricOn(MetricOccupancy) {
-			search, err := core.NewScaleSearch(p.coreOptions(c.grid))
-			if err != nil {
-				return nil, err
-			}
-			sr.search = search
-		}
-		mo, mobs := p.newMetricObservers()
-		sr.mo = mo
-		sr.extraObs = append(mobs, c.observers...)
-		runs = append(runs, sr)
+		scopes = append(scopes, &scopeRun{scope: GlobalScope, grid: c.grid})
 	}
 	if len(c.windows) > 0 {
 		grids, err := p.windowGrids()
 		if err != nil {
 			return nil, err
 		}
-		for i := range c.windows {
-			w := &c.windows[i]
-			sr := &scopeRun{window: w, start: w.Start, end: w.End, grid: grids[i]}
-			if c.metricOn(MetricOccupancy) {
-				search, err := core.NewScaleSearch(p.coreOptions(grids[i]))
-				if err != nil {
-					return nil, fmt.Errorf("repro: window [%d, %d): %w", w.Start, w.End, err)
-				}
-				sr.search = search
-			}
-			mo, mobs := p.newMetricObservers()
-			sr.mo = mo
-			sr.extraObs = mobs
-			runs = append(runs, sr)
+		for i, w := range c.windows {
+			scopes = append(scopes, &scopeRun{scope: i, start: w.Start, end: w.End, grid: grids[i]})
 		}
 	}
-
-	for pass := 0; ; pass++ {
-		batch := make([]sweep.SegmentObserver, 0, len(runs)+len(c.segments))
-		waiting := make([]*scopeRun, 0, len(runs))
-		for _, sr := range runs {
-			if sr.done {
-				continue
+	if !c.metricOn(MetricOccupancy) {
+		return scopes, nil
+	}
+	for _, sr := range scopes {
+		search, err := core.NewScaleSearch(core.Options{
+			Selectors:     c.selectors,
+			Refine:        c.refine,
+			HistogramBins: c.histogramBins,
+			Grid:          sr.grid,
+		})
+		if err != nil {
+			if sr.scope != GlobalScope {
+				err = fmt.Errorf("repro: window [%d, %d): %w", sr.start, sr.end, err)
 			}
-			var observers []sweep.Observer
+			return nil, err
+		}
+		sr.search = search
+	}
+	return scopes, nil
+}
+
+// roundExecutor scores one round of a standard run: grids[i] for
+// scopes[i], returning each scope's curves in scope order. Round 0
+// carries every scope's whole grid and computes every metric; a later
+// round carries the fresh ∆s of still-refining occupancy searches and
+// only its Occupancy curve is read.
+type roundExecutor func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error)
+
+// driveScopes is the one round driver of standard runs, local and
+// distributed alike: each round collects the grid every scope's
+// occupancy search stages (NextGrid), has exec score the round, and
+// folds the scored points back (AbsorbPoints), until every search has
+// converged. Scopes without a search take part in round 0 only.
+func driveScopes(ctx context.Context, scopes []*scopeRun, exec roundExecutor) error {
+	for round := 0; ; round++ {
+		var active []*scopeRun
+		var grids [][]int64
+		for _, sr := range scopes {
 			grid := sr.grid
 			if sr.search != nil {
-				g, obs, ok := sr.search.Next()
+				g, ok := sr.search.NextGrid()
 				if !ok {
-					res, err := sr.search.Result()
-					if err != nil {
-						return nil, err
-					}
-					sr.res, sr.hasRes, sr.done = res, true, true
 					continue
 				}
 				grid = g
-				observers = append(observers, obs)
-			}
-			if pass == 0 {
-				observers = append(observers, sr.extraObs...)
-			}
-			if len(observers) == 0 {
-				sr.done = true
+			} else if round > 0 {
 				continue
 			}
-			batch = append(batch, sweep.SegmentObserver{Start: sr.start, End: sr.end, Grid: grid, Observers: observers})
-			waiting = append(waiting, sr)
+			active = append(active, sr)
+			grids = append(grids, grid)
 		}
-		if pass == 0 {
-			batch = append(batch, c.segments...)
-		}
-		if len(batch) == 0 {
+		if round > 0 && len(active) == 0 {
 			break
 		}
+		cvs, err := exec(ctx, round, active, grids)
+		if err != nil {
+			return err
+		}
+		for i, sr := range active {
+			if round == 0 {
+				sr.cv = cvs[i]
+			}
+			if sr.search != nil {
+				if err := sr.search.AbsorbPoints(cvs[i].Occupancy); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, sr := range scopes {
+		if sr.search == nil {
+			continue
+		}
+		res, err := sr.search.Result()
+		if err != nil {
+			return err
+		}
+		sr.res, sr.hasRes = res, true
+		sr.cv.Occupancy = res.Points
+	}
+	return nil
+}
+
+// scopeReport assembles the Report of driven scopes: the global scope's
+// curves and scale, then one WindowReport per window scope.
+func scopeReport(scopes []*scopeRun) *Report {
+	rep := &Report{}
+	for _, sr := range scopes {
+		if sr.scope == GlobalScope {
+			rep.global = sr.cv
+			rep.scale, rep.hasScale = sr.res, sr.hasRes
+		} else {
+			rep.windows = append(rep.windows, WindowReport{
+				Start: sr.start, End: sr.end,
+				Scale: sr.res, Curves: sr.cv,
+			})
+		}
+	}
+	return rep
+}
+
+// runStandard executes the plan's scopes — the global analysis, every
+// window, every raw segment — through the round driver, one fused
+// engine pass per round.
+func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
+	scopes, err := p.scopes()
+	if err != nil {
+		return nil, err
+	}
+	var stats EngineStats
+	if err := driveScopes(ctx, scopes, p.localRound(&stats)); err != nil {
+		return nil, err
+	}
+	rep := scopeReport(scopes)
+	rep.stats = stats
+	return rep, nil
+}
+
+// localRound is the in-process round executor: the whole round is one
+// fused sweep.RunSource pass over every active scope. Round 0 carries
+// each scope's occupancy observer, curve observers and — on the global
+// scope — the custom observers, plus the plan's raw segments; later
+// rounds carry only the refining occupancy observers.
+func (p *Plan) localRound(stats *EngineStats) roundExecutor {
+	c := &p.cfg
+	engOpt := sweep.Options{
+		Directed:      c.directed,
+		Workers:       c.workers,
+		MaxInFlight:   c.maxInFlight,
+		HistogramBins: c.histogramBins,
+		LaneWidth:     c.laneWidth,
+		Stats:         stats,
+	}
+	return func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error) {
+		batch := make([]sweep.SegmentObserver, 0, len(scopes)+len(c.segments))
+		occ := make([]*core.OccupancyObserver, len(scopes))
+		mos := make([]metricObservers, len(scopes))
+		for i, sr := range scopes {
+			var observers []sweep.Observer
+			if sr.search != nil {
+				occ[i] = core.NewOccupancyObserver(c.selectors)
+				observers = append(observers, occ[i])
+			}
+			if round == 0 {
+				var mobs []sweep.Observer
+				mos[i], mobs = p.newMetricObservers()
+				observers = append(observers, mobs...)
+				if sr.scope == GlobalScope {
+					observers = append(observers, c.observers...)
+				}
+			}
+			batch = append(batch, sweep.SegmentObserver{Start: sr.start, End: sr.end, Grid: grids[i], Observers: observers})
+		}
+		if round == 0 {
+			batch = append(batch, c.segments...)
+		}
+		opt := engOpt
 		if c.progress != nil {
-			round := pass
-			engOpt.Progress = func(ev ProgressEvent) {
+			opt.Progress = func(ev ProgressEvent) {
 				ev.Pass = round
 				c.progress(ev)
 			}
 		}
-		if err := sweep.RunSource(ctx, p.engineSource(), engOpt, batch...); err != nil {
+		if err := sweep.RunSource(ctx, p.engineSource(), opt, batch...); err != nil {
 			return nil, err
 		}
-		for _, sr := range waiting {
-			if sr.search != nil {
-				if err := sr.search.Absorb(); err != nil {
-					return nil, err
-				}
-			} else {
-				sr.done = true
+		out := make([]Curves, len(scopes))
+		for i := range scopes {
+			out[i] = mos[i].curves()
+			if occ[i] != nil {
+				out[i].Occupancy = occ[i].Points()
 			}
 		}
+		return out, nil
 	}
-
-	rep := &Report{stats: stats}
-	for _, sr := range runs {
-		cv := sr.mo.curves()
-		if sr.hasRes {
-			cv.Occupancy = sr.res.Points
-		}
-		if sr.window == nil {
-			rep.global = cv
-			rep.scale, rep.hasScale = sr.res, sr.hasRes
-		} else {
-			rep.windows = append(rep.windows, WindowReport{
-				Start: sr.window.Start, End: sr.window.End,
-				Scale: sr.res, Curves: cv,
-			})
-		}
-	}
-	return rep, nil
 }
 
 // runAdaptive executes the plan through the activity-segmented
@@ -569,7 +660,6 @@ func (p *Plan) runAdaptive(ctx context.Context) (*Report, error) {
 	acfg.GridPoints = c.gridPoints
 	acfg.MinDelta = c.minDelta
 	acfg.LaneWidth = c.laneWidth
-	acfg.Speculate = c.speculate
 	acfg.Stats = &stats
 	acfg.Progress = c.progress
 	mo, mobs := p.newMetricObservers()

@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -54,6 +55,32 @@ func TestNewAnalysisValidation(t *testing.T) {
 	}
 	if _, err := NewAnalysis(NewStream()); err != ErrNoEvents {
 		t.Errorf("empty stream error = %v, want ErrNoEvents", err)
+	}
+}
+
+// TestNewAnalysisSizeLimits pins the allocation-size bounds: each
+// option is accepted at its limit and rejected with ErrPlanTooLarge one
+// past it, before any grid is built.
+func TestNewAnalysisSizeLimits(t *testing.T) {
+	s := uniformWorkload(t)
+	for _, tc := range []struct {
+		name string
+		opt  func(n int) Option
+		max  int
+	}{
+		{"grid points", WithGridPoints, MaxGridPoints},
+		{"refine", WithRefine, MaxRefine},
+		{"histogram bins", WithHistogramBins, MaxHistogramBins},
+		{"adaptive bins", func(n int) Option { return WithAdaptive(AdaptiveConfig{Bins: n}) }, MaxAdaptiveBins},
+	} {
+		if _, err := NewAnalysis(s, tc.opt(tc.max)); err != nil {
+			t.Errorf("%s at its limit %d: %v", tc.name, tc.max, err)
+		}
+		for _, n := range []int{tc.max + 1, 1 << 30} {
+			if _, err := NewAnalysis(s, tc.opt(n)); !errors.Is(err, ErrPlanTooLarge) {
+				t.Errorf("%s %d: error %v, want ErrPlanTooLarge", tc.name, n, err)
+			}
+		}
 	}
 }
 
@@ -311,11 +338,10 @@ func TestPlanRerun(t *testing.T) {
 	}
 }
 
-// TestPlanLaneWidthAndSpeculate pins the new performance knobs at the
-// plan level: every lane width returns the identical report, the
-// speculative bisection returns the serial bisection's scale and curve,
-// and the run's arena accounting balances.
-func TestPlanLaneWidthAndSpeculate(t *testing.T) {
+// TestPlanLaneWidth pins the lane-width knob at the plan level: every
+// lane width returns the identical refined report in the same two
+// engine passes, and the run's arena accounting balances.
+func TestPlanLaneWidth(t *testing.T) {
 	s := twoModeWorkload(t)
 	if _, err := NewAnalysis(s, WithLaneWidth(3)); err == nil {
 		t.Fatal("lane width 3 must be rejected")
@@ -342,19 +368,9 @@ func TestPlanLaneWidthAndSpeculate(t *testing.T) {
 		if st.ArenaHanded == 0 || st.ArenaHanded != st.ArenaRecycled {
 			t.Fatalf("width %d: arena accounting off: %+v", width, st)
 		}
-	}
-	spec := run(WithSpeculate(true))
-	serial := run(WithSpeculate(true), WithLaneWidth(4))
-	if !reflect.DeepEqual(spec.Occupancy(), serial.Occupancy()) || spec.Gamma() != serial.Gamma() {
-		t.Fatal("speculative reports diverged across widths")
-	}
-	if spec.Gamma() == 0 || len(spec.Occupancy()) <= len(ref.Occupancy())-2*3 {
-		t.Fatalf("speculative run looks degenerate: γ=%d, %d points", spec.Gamma(), len(spec.Occupancy()))
-	}
-	// Each speculative round is one engine pass, so Refine bounds the
-	// refinement passes (serial bisection of the same rounds would need
-	// up to two passes per round).
-	if got := spec.EngineStats().Passes; got > 1+3 {
-		t.Fatalf("speculative run took %d passes, bound is %d", got, 1+3)
+		// Refinement is exactly one extra engine pass.
+		if st.Passes != 2 || ref.EngineStats().Passes != 2 {
+			t.Fatalf("width %d: refined run took %d passes (default width %d), want 2", width, st.Passes, ref.EngineStats().Passes)
+		}
 	}
 }

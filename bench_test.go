@@ -344,30 +344,6 @@ func benchSweepLanes(b *testing.B, width int) {
 func BenchmarkSweepLanes4(b *testing.B) { benchSweepLanes(b, 4) }
 func BenchmarkSweepLanes8(b *testing.B) { benchSweepLanes(b, 8) }
 
-// BenchmarkScaleSearchSpeculative vs BenchmarkScaleSearchSerial:
-// speculative bracket bisection (both half-midpoints of the bracket
-// staged into one engine request) against serial bisection (one
-// midpoint per pass). Both sweep the identical ∆ sequence and return
-// bit-identical Results — the core equivalence suite pins that — so
-// the delta is the halved number of refinement passes. CI pairs the
-// two: speculation may never cost more than serial.
-func benchScaleSearch(b *testing.B, speculate bool) {
-	s := irvineStream(b)
-	opt := core.Options{
-		Grid: core.LogGrid(3600, s.Duration(), 8), Refine: 6,
-		Bisect: !speculate, Speculate: speculate,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SaturationScale(context.Background(), s, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScaleSearchSerial(b *testing.B)      { benchScaleSearch(b, false) }
-func BenchmarkScaleSearchSpeculative(b *testing.B) { benchScaleSearch(b, true) }
-
 // BenchmarkStreamingTrips vs BenchmarkStreamingTripsReference: the
 // streaming raw-stream trip pipeline feeding the Section 8 validation
 // observers (per-destination runs merged into the incremental pair

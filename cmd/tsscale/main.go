@@ -288,7 +288,6 @@ func runCoordinator(coordURL string, f *cli.Flags, metrics []repro.Metric, sels 
 		GridPoints: f.Points,
 		MinDelta:   f.MinDelta,
 		Refine:     refine,
-		Speculate:  f.Speculate,
 	}
 	for _, m := range metrics {
 		spec.Metrics = append(spec.Metrics, m.String())

@@ -88,16 +88,9 @@ type Config struct {
 	// LaneWidth pins the engine's destination-lane width for every
 	// fused pass (0 auto, 4 or 8); see sweep.Options.LaneWidth.
 	LaneWidth int
-	// Speculate switches every scale search to speculative bracket
-	// bisection (see core.Options.Speculate): each refinement round of
-	// each search stages both candidate half-midpoints at once, and the
-	// fused round batches the speculative grids of all still-active
-	// searches into the same engine pass. Results are bit-identical to
-	// Refine-round serial bisection.
-	Speculate bool
 	// Progress, when non-nil, receives the engine's progress events for
 	// every fused pass of the analysis, with ProgressEvent.Pass set to
-	// the bisection round the pass serves.
+	// the search round the pass serves (0 initial, 1 refinement).
 	Progress func(sweep.ProgressEvent)
 	// Stats, when non-nil, accumulates the engine counters of every
 	// pass of the analysis (see sweep.Options.Stats).
@@ -129,7 +122,6 @@ func (c Config) coreOptions(grid []int64) core.Options {
 		Refine:      c.Refine,
 		MaxInFlight: c.MaxInFlight,
 		LaneWidth:   c.LaneWidth,
-		Speculate:   c.Speculate,
 		Grid:        grid,
 	}
 }

@@ -222,14 +222,14 @@ func TestAnalyzeWithGlobalObservers(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSpeculativeMatchesSerial pins the fused speculative path:
-// batching both half-midpoints of every active search into one
-// RunWindowed pass per round returns exactly the serial bisection's
-// analysis (the reference drives the same speculative searches one
-// stream at a time), for every lane width.
-func TestAnalyzeSpeculativeMatchesSerial(t *testing.T) {
+// TestAnalyzeRefinedLaneWidthsMatchReference pins the fused refined
+// path: batching the refinement grids of every active search into one
+// RunWindowed pass returns exactly the reference analysis (which
+// drives the same searches one stream at a time), for every lane
+// width.
+func TestAnalyzeRefinedLaneWidthsMatchReference(t *testing.T) {
 	s := heteroStream(t, 2)
-	cfg := Config{Bins: 60, GridPoints: 8, Refine: 3, Workers: 2, Speculate: true}
+	cfg := Config{Bins: 60, GridPoints: 8, Refine: 3, Workers: 2}
 	want, err := AnalyzeReference(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestAnalyzeSpeculativeMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width=%d: speculative fused analysis diverged:\n got %+v\nwant %+v", width, got, want)
+			t.Fatalf("width=%d: refined fused analysis diverged:\n got %+v\nwant %+v", width, got, want)
 		}
 	}
 }

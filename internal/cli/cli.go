@@ -30,7 +30,6 @@ type Flags struct {
 	Workers     int
 	MaxInFlight int
 	LaneWidth   int
-	Speculate   bool
 	Metrics     string
 	EngineStats bool
 }
@@ -60,8 +59,6 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Metrics, "metrics", d.Metrics, d.MetricsHelp)
 	BindEngine(fs, &f.Workers, &f.MaxInFlight)
 	BindLaneWidth(fs, &f.LaneWidth)
-	fs.BoolVar(&f.Speculate, "speculate", false,
-		"speculative bracket bisection: sweep both refinement half-midpoints per engine pass (same result, fewer passes)")
 	fs.BoolVar(&f.EngineStats, "engine-stats", false,
 		"print the engine's instrumentation after the run (period CSR builds, dedup hits, stream enumerations, peak resident periods, arena reuse)")
 	return f
@@ -188,7 +185,6 @@ func (f *Flags) PlanOptions(metrics ...repro.Metric) []repro.Option {
 		repro.WithWorkers(f.Workers),
 		repro.WithMaxInFlight(f.MaxInFlight),
 		repro.WithLaneWidth(f.LaneWidth),
-		repro.WithSpeculate(f.Speculate),
 		repro.WithGridPoints(f.Points),
 		repro.WithMinDelta(f.MinDelta),
 		repro.WithElongationSpill(f.ElongSpill),

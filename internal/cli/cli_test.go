@@ -24,13 +24,13 @@ func TestBindDefaultsAndOverrides(t *testing.T) {
 	if f.Points != 48 || f.Metrics != "occupancy" || f.Directed || f.MaxInFlight != 0 {
 		t.Fatalf("defaults: %+v", f)
 	}
-	if f.LaneWidth != 0 || f.Speculate {
+	if f.LaneWidth != 0 {
 		t.Fatalf("defaults: %+v", f)
 	}
 	f = bindFor(t, "-directed", "-points", "12", "-min", "60", "-workers", "3",
-		"-max-inflight", "2", "-lane-width", "4", "-speculate", "-metrics", "loss", "-engine-stats")
+		"-max-inflight", "2", "-lane-width", "4", "-metrics", "loss", "-engine-stats")
 	if !f.Directed || f.Points != 12 || f.MinDelta != 60 || f.Workers != 3 ||
-		f.MaxInFlight != 2 || f.LaneWidth != 4 || !f.Speculate || f.Metrics != "loss" || !f.EngineStats {
+		f.MaxInFlight != 2 || f.LaneWidth != 4 || f.Metrics != "loss" || !f.EngineStats {
 		t.Fatalf("overrides: %+v", f)
 	}
 }

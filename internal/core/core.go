@@ -45,8 +45,8 @@ type Options struct {
 	// DefaultGrid(stream, DefaultGridPoints).
 	Grid []int64
 	// Refine, when positive, adds that many extra grid points between
-	// the neighbours of the best ∆ of each pass and re-sweeps once,
-	// sharpening γ beyond the grid resolution.
+	// the neighbours of the best ∆ of the initial sweep and re-sweeps
+	// once, sharpening γ beyond the grid resolution.
 	Refine int
 	// HistogramBins, when positive, scores with a fixed-bin histogram
 	// instead of the exact sample. Only the M-K selectors support this
@@ -63,19 +63,6 @@ type Options struct {
 	// relax pass. Every width produces bit-identical results; see
 	// sweep.Options.LaneWidth.
 	LaneWidth int
-	// Bisect replaces the one-shot refinement pass with a bracket
-	// bisection around the running maximum: each round sweeps the
-	// geometric half-midpoints of the bracket enclosing the best ∆ and
-	// narrows onto the new maximum. Refine bounds the number of
-	// bisection rounds instead of the extra-point count. The default
-	// (false) keeps the paper's sweep-then-refine shape.
-	Bisect bool
-	// Speculate (implies Bisect) stages both candidate half-midpoints
-	// of the current bracket in a single sweep request, so one engine
-	// pass prices the round that serial bisection needs two passes for.
-	// The ∆ sequence swept — and therefore the Result — is identical to
-	// serial bisection's; only the pass batching differs.
-	Speculate bool
 }
 
 func (o Options) selectors() []dist.Selector {

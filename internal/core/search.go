@@ -1,6 +1,6 @@
 package core
 
-// This file implements the engine-backed bisection entry points of the
+// This file implements the engine-backed search entry points of the
 // occupancy method: SaturationScale's sweep-then-refine loop factored
 // into a resumable state machine (ScaleSearch) whose engine passes are
 // supplied by the caller. A single search is SaturationScaleWith; many
@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/sweep"
@@ -28,28 +27,19 @@ import (
 // scheduler). It is the pluggable sweep of SaturationScaleWith.
 type SweepRunner func(grid []int64, obs sweep.Observer) error
 
-// ScaleSearch is the occupancy method as a resumable bisection: it
-// emits sweep requests (a candidate grid plus an observer to score it
-// with) and absorbs the scored points until γ is determined, letting a
+// ScaleSearch is the occupancy method as a resumable search: it emits
+// sweep requests (a candidate grid plus an observer to score it with)
+// and absorbs the scored points until γ is determined, letting a
 // caller interleave or batch the engine passes of many searches.
 //
 // Protocol: call Next for the pending request; run any engine pass that
 // registers the returned observer over the returned grid; call Absorb.
-// Repeat until Next reports ok == false, then read Result. Each
-// distinct ∆ is swept at most once across all rounds — refinement grids
-// are deduplicated against every ∆ already scored, which the plain
-// SaturationScale never did (its refine pass rebuilt its grid
-// endpoints).
-//
-// With Options.Bisect the refinement is a bracket bisection: every
-// round stages the two geometric half-midpoints of the bracket around
-// the running maximum, and Options.Refine bounds the rounds. Serial
-// bisection emits the staged midpoints one request at a time;
-// Options.Speculate emits both in one request, halving the engine
-// passes. Both modes recompute the bracket only once the staged pair is
-// fully absorbed, so they sweep identical ∆ sequences and the losing
-// half's points simply stay in the dedup set — speculation changes pass
-// batching, never the Result.
+// Repeat until Next reports ok == false, then read Result. A search
+// issues at most two requests: the candidate grid, then — when
+// Options.Refine asks for it — one refinement grid of Refine+2
+// geometric points between the neighbours of the best ∆. Refinement
+// grids are deduplicated against every ∆ already scored, so each
+// distinct ∆ is swept exactly once.
 type ScaleSearch struct {
 	opt       Options
 	sels      []dist.Selector
@@ -57,9 +47,7 @@ type ScaleSearch struct {
 	points    []SweepPoint
 	cur       *OccupancyObserver
 	curGrid   []int64
-	requested bool    // a NextGrid/Next request is outstanding
-	pending   []int64 // bisection midpoints staged but not yet requested
-	rounds    int     // bisection bracket recomputations remaining
+	requested bool // a NextGrid/Next request is outstanding
 	refined   bool
 	done      bool
 }
@@ -83,9 +71,6 @@ func NewScaleSearch(opt Options) (*ScaleSearch, error) {
 		}
 	}
 	sc := &ScaleSearch{opt: opt, sels: sels, seen: make(map[int64]bool, len(opt.Grid)), curGrid: opt.Grid}
-	if opt.Bisect || opt.Speculate {
-		sc.rounds = opt.Refine
-	}
 	for _, d := range opt.Grid {
 		sc.seen[d] = true
 	}
@@ -155,17 +140,13 @@ func (sc *ScaleSearch) AbsorbPoints(pts []SweepPoint) error {
 }
 
 // absorb is the shared fold: merge the scored points and stage the
-// next round (refinement or bisection) or finish.
+// refinement grid or finish.
 func (sc *ScaleSearch) absorb(pts []SweepPoint) error {
 	sc.curGrid, sc.requested = nil, false
 	if sc.points == nil {
 		sc.points = pts
 	} else {
 		sc.points = mergePoints(sc.points, pts)
-	}
-	if sc.opt.Bisect || sc.opt.Speculate {
-		sc.stageBisection()
-		return nil
 	}
 	if !sc.refined {
 		sc.refined = true
@@ -192,74 +173,6 @@ func (sc *ScaleSearch) absorb(pts []SweepPoint) error {
 	return nil
 }
 
-// stageBisection advances the bracket-bisection refinement: staged
-// midpoints are requested before the bracket is recomputed, so serial
-// and speculative searches sweep the same ∆ sequence.
-func (sc *ScaleSearch) stageBisection() {
-	if len(sc.pending) > 0 {
-		sc.curGrid = sc.pending[:1:1]
-		sc.pending = sc.pending[1:]
-		return
-	}
-	if sc.rounds > 0 {
-		if mids := sc.bracketMids(); len(mids) > 0 {
-			sc.rounds--
-			for _, d := range mids {
-				sc.seen[d] = true
-			}
-			if sc.opt.Speculate {
-				sc.curGrid = mids
-			} else {
-				sc.curGrid = mids[:1:1]
-				sc.pending = mids[1:]
-			}
-			return
-		}
-	}
-	sc.done = true
-}
-
-// bracketMids returns the unseen geometric half-midpoints of the
-// bracket enclosing the current maximum: one candidate in
-// (points[best-1].∆, best∆) and one in (best∆, points[best+1].∆). An
-// empty result means the maximum is pinned to timestamp resolution.
-func (sc *ScaleSearch) bracketMids() []int64 {
-	if len(sc.points) < 2 {
-		return nil
-	}
-	best := Best(sc.points, 0)
-	b := sc.points[best].Delta
-	var mids []int64
-	if best > 0 {
-		if m := geoMid(sc.points[best-1].Delta, b); !sc.seen[m] {
-			mids = append(mids, m)
-		}
-	}
-	if best < len(sc.points)-1 {
-		if m := geoMid(b, sc.points[best+1].Delta); !sc.seen[m] {
-			mids = append(mids, m)
-		}
-	}
-	return mids
-}
-
-// geoMid returns the geometric midpoint of (a, b), clamped inside the
-// open interval; when b <= a+1 no interior point exists and an endpoint
-// (always already swept, hence seen-filtered) is returned.
-func geoMid(a, b int64) int64 {
-	m := int64(math.Round(math.Sqrt(float64(a) * float64(b))))
-	if m <= a {
-		m = a + 1
-	}
-	if m >= b {
-		m = b - 1
-	}
-	if m < a {
-		m = a
-	}
-	return m
-}
-
 // Done reports whether the search has converged.
 func (sc *ScaleSearch) Done() bool { return sc.done }
 
@@ -278,13 +191,14 @@ func (sc *ScaleSearch) Result() (Result, error) {
 	}, nil
 }
 
-// SaturationScaleWith runs the occupancy method's bisection through a
-// caller-supplied engine pass: every grid the search stages is handed
-// to run together with the observer that scores it. SaturationScale is
-// SaturationScaleWith over a plain sweep.Run; callers fusing several
-// analyses into shared engine passes (internal/adaptive) drive the
-// ScaleSearch protocol directly and batch the requests of concurrent
-// searches into single sweep.RunWindowed invocations.
+// SaturationScaleWith runs the occupancy method's sweep-then-refine
+// search through a caller-supplied engine pass: every grid the search
+// stages is handed to run together with the observer that scores it.
+// SaturationScale is SaturationScaleWith over a plain sweep.Run;
+// callers fusing several analyses into shared engine passes
+// (internal/adaptive) drive the ScaleSearch protocol directly and batch
+// the requests of concurrent searches into single sweep.RunWindowed
+// invocations.
 func SaturationScaleWith(ctx context.Context, opt Options, run SweepRunner) (Result, error) {
 	sc, err := NewScaleSearch(opt)
 	if err != nil {

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/linkstream"
 	"repro/internal/sweep"
 )
 
 // TestSaturationScaleWithMatchesSaturationScale pins the factoring:
-// driving the bisection through an explicit runner is bit-identical to
+// driving the search through an explicit runner is bit-identical to
 // the end-to-end entry point, with and without refinement.
 func TestSaturationScaleWithMatchesSaturationScale(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 2)
@@ -100,5 +101,43 @@ func TestScaleSearchProtocol(t *testing.T) {
 	}
 	if len(res.Points) != 2 || res.Gamma == 0 {
 		t.Fatalf("result = %+v", res)
+	}
+}
+
+// runSearch drives a SaturationScale search over the stream and returns
+// the result plus the number of engine passes it took.
+func runSearch(t *testing.T, s *linkstream.Stream, opt Options) (Result, int) {
+	t.Helper()
+	passes := 0
+	res, err := SaturationScaleWith(context.Background(), opt, func(grid []int64, obs sweep.Observer) error {
+		passes++
+		return sweep.Run(context.Background(), s, grid, sweep.Options{}, obs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, passes
+}
+
+// TestRefineRoundBounded pins the Refine semantics: refinement is
+// exactly one extra engine pass adding at most Refine fresh points
+// over the initial grid, and Refine=0 disables it entirely.
+func TestRefineRoundBounded(t *testing.T) {
+	grid := LogGrid(1, 3000, 9)
+	for seed := int64(2); seed <= 6; seed++ {
+		s := mixedStream(t, 7, 2, 3000, seed)
+		for _, refine := range []int{0, 1, 3, 6} {
+			res, passes := runSearch(t, s, Options{Grid: grid, Refine: refine})
+			extra := len(res.Points) - len(grid)
+			if extra > refine {
+				t.Fatalf("seed=%d refine=%d: refinement added %d points, bound is %d", seed, refine, extra, refine)
+			}
+			if refine == 0 && extra != 0 {
+				t.Fatalf("seed=%d refine=0 must not refine: %d points for a %d-point grid", seed, len(res.Points), len(grid))
+			}
+			if want := 1 + min(extra, 1); passes != want {
+				t.Fatalf("seed=%d refine=%d: %d engine passes for %d fresh points, want %d", seed, refine, passes, extra, want)
+			}
+		}
 	}
 }

@@ -216,10 +216,11 @@ func strictUnmarshal(data []byte, v any) error {
 
 // resultKey is the canonical identity of a spec's results: everything
 // that changes what the engine computes. Execution knobs — Workers,
-// MaxInFlight, LaneWidth, Speculate, ElongationSpill — are absent by
-// design: the engine pins results bit-identical across all of them
-// (the lane-width, speculation and spill equivalence suites), so two
-// submits differing only there share one cache entry. Metrics are
+// MaxInFlight, LaneWidth, ElongationSpill — are absent by design: the
+// engine pins results bit-identical across all of them (the
+// worker-count, lane-width and spill equivalence suites, and
+// TestExecutionHintsAreResultNeutral), so two submits differing only
+// there share one cache entry. Metrics are
 // sorted and defaulted (nil means occupancy); Selectors keep their
 // order, because the first selector decides the saturation scale.
 type resultKey struct {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,7 +33,6 @@ func fullSpec() *repro.PlanSpec {
 		Workers:         3,
 		MaxInFlight:     2,
 		LaneWidth:       8,
-		Speculate:       true,
 		ElongationSpill: 1 << 20,
 	}
 }
@@ -104,6 +105,12 @@ func TestPlanCodecStrictness(t *testing.T) {
 			}
 		})
 	}
+	// The removed speculative-bisection knob is an unknown field, not a
+	// silently ignored hint.
+	_, err := DecodePlan([]byte(`{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1}],"refine":3,"speculate":true}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "speculate"`) {
+		t.Fatalf("speculate decoded as %v, want an unknown-field error", err)
+	}
 }
 
 func TestProgressCodecRoundTrip(t *testing.T) {
@@ -147,7 +154,6 @@ func TestSpecKeyIgnoresExecutionKnobs(t *testing.T) {
 	variant.Workers = 11
 	variant.MaxInFlight = 7
 	variant.LaneWidth = 4
-	variant.Speculate = false
 	variant.ElongationSpill = 0
 	got, err := SpecKey(variant, "columnar:abc")
 	if err != nil {
@@ -237,5 +243,115 @@ func TestInlineHash(t *testing.T) {
 	}
 	if !strings.HasPrefix(h1, "inline:") {
 		t.Fatalf("inline hash %q lacks its namespace prefix", h1)
+	}
+}
+
+// hintFields are the PlanSpec fields, by wire name, that resultKey
+// leaves out: execution hints the engine pins results bit-identical
+// across.
+var hintFields = []string{"workers", "max_inflight", "lane_width", "elongation_spill"}
+
+// jsonNames maps a struct type's fields to their wire names.
+func jsonNames(t *testing.T, typ reflect.Type) map[string]string {
+	t.Helper()
+	out := make(map[string]string, typ.NumField())
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" || name == "-" {
+			t.Fatalf("%s.%s has no wire name", typ.Name(), f.Name)
+		}
+		out[name] = f.Name
+	}
+	return out
+}
+
+// TestSpecKeyCoversPlanSpec pins the cache key's contract: every
+// PlanSpec field is either part of resultKey or a listed execution
+// hint — a new field cannot silently stay out of the key. Inline
+// events enter the key as the stream identity (InlineHash) SpecKey is
+// handed.
+func TestSpecKeyCoversPlanSpec(t *testing.T) {
+	keyed := jsonNames(t, reflect.TypeOf(resultKey{}))
+	hints := make(map[string]bool, len(hintFields))
+	for _, h := range hintFields {
+		hints[h] = true
+	}
+	spec := jsonNames(t, reflect.TypeOf(repro.PlanSpec{}))
+	for name, field := range spec {
+		_, inKey := keyed[name]
+		switch {
+		case name == "inline":
+		case inKey && hints[name]:
+			t.Errorf("PlanSpec.%s (%q) is both keyed and listed as a hint", field, name)
+		case !inKey && !hints[name]:
+			t.Errorf("PlanSpec.%s (%q) is neither in resultKey nor a listed execution hint", field, name)
+		}
+	}
+	for _, h := range hintFields {
+		if _, ok := spec[h]; !ok {
+			t.Errorf("hint %q is not a PlanSpec field", h)
+		}
+	}
+}
+
+// TestExecutionHintsAreResultNeutral pins what leaving the hints out
+// of the key relies on: toggling any one of them on a refined,
+// windowed spec with elongation changes neither the key nor a single
+// byte of the encoded report.
+func TestExecutionHintsAreResultNeutral(t *testing.T) {
+	base := smallSpec(t, 17)
+	base.Metrics = []string{"occupancy", "elongation"}
+	base.Refine = 3
+	base.Windows = []repro.Window{{Start: 0, End: 10_000}, {Start: 10_000, End: 20_000}}
+	toggles := map[string]func(*repro.PlanSpec){
+		"workers":          func(s *repro.PlanSpec) { s.Workers = 1 },
+		"max_inflight":     func(s *repro.PlanSpec) { s.MaxInFlight = 1 },
+		"lane_width":       func(s *repro.PlanSpec) { s.LaneWidth = 4 },
+		"elongation_spill": func(s *repro.PlanSpec) { s.ElongationSpill = 1 },
+	}
+	if len(toggles) != len(hintFields) {
+		t.Fatalf("%d toggles for %d hints", len(toggles), len(hintFields))
+	}
+	run := func(spec *repro.PlanSpec) (string, []byte, *repro.Report) {
+		t.Helper()
+		key, err := SpecKey(spec, InlineHash(spec.Inline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := spec.NewPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plan.Close()
+		rep, err := plan.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, data, rep
+	}
+	wantKey, want, rep := run(base)
+	if rep.NumWindows() != 2 || len(rep.Elongation()) == 0 || len(rep.Occupancy()) <= base.GridPoints {
+		t.Fatalf("base spec does not exercise windows, elongation and refinement: %d windows, %d elongation points, %d occupancy points",
+			rep.NumWindows(), len(rep.Elongation()), len(rep.Occupancy()))
+	}
+	for _, h := range hintFields {
+		toggle, ok := toggles[h]
+		if !ok {
+			t.Fatalf("no toggle for hint %q", h)
+		}
+		spec := *base
+		toggle(&spec)
+		key, got, _ := run(&spec)
+		if key != wantKey {
+			t.Errorf("%s changed the spec key", h)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed the report bytes", h)
+		}
 	}
 }

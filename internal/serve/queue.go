@@ -125,7 +125,9 @@ type QueueStats struct {
 	Rejected int64 `json:"rejected"`
 	// RunCount counts engine executions started (plan.Run invocations).
 	RunCount int64 `json:"run_count"`
-	// RunsDone / RunsFailed / RunsCanceled partition finished runs.
+	// RunsDone / RunsFailed / RunsCanceled partition the finished
+	// engine executions; a run cancelled before its tenant budget let
+	// it start counts in none of them, as in RunCount.
 	RunsDone     int64 `json:"runs_done"`
 	RunsFailed   int64 `json:"runs_failed"`
 	RunsCanceled int64 `json:"runs_canceled"`
@@ -663,10 +665,14 @@ func (q *Queue) execute(r *run, plan *repro.Plan, sem chan struct{}) {
 	q.finish(r, rep, err)
 }
 
-// finish publishes a run's terminal state, retires it from the
-// in-flight index and caches successful results.
+// finish records a run's terminal state, retires it from the in-flight
+// index, caches successful results and only then wakes the run's
+// subscribers, so a waiter released by Done already sees the admission
+// slot freed and the result cached.
 func (q *Queue) finish(r *run, rep *repro.Report, err error) {
+	q.mu.Lock()
 	r.mu.Lock()
+	started := r.state == StateRunning
 	switch {
 	case err == nil:
 		r.state = StateDone
@@ -679,17 +685,14 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 		r.state = StateFailed
 		r.err = err
 	}
-	r.broadcastLocked()
-	close(r.done)
-	r.mu.Unlock()
-	r.cancel()
 
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	delete(q.inflight, r.key)
 	q.admitted--
-	switch r.state {
-	case StateDone:
+	switch {
+	case !started:
+		// Cancelled while waiting for its tenant budget: no engine
+		// execution, so it counts in neither RunCount nor its partition.
+	case r.state == StateDone:
 		q.stats.RunsDone++
 		if _, dup := q.cache[r.key]; !dup {
 			q.cache[r.key] = &cachedResult{key: r.key, report: r.report, stats: r.runStats}
@@ -700,11 +703,17 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 				delete(q.cache, oldest)
 			}
 		}
-	case StateCanceled:
+	case r.state == StateCanceled:
 		q.stats.RunsCanceled++
 	default:
 		q.stats.RunsFailed++
 	}
+
+	r.broadcastLocked()
+	close(r.done)
+	r.mu.Unlock()
+	q.mu.Unlock()
+	r.cancel()
 }
 
 // newIDLocked mints a job ID: random hex with a sequence fallback so

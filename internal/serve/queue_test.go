@@ -213,8 +213,14 @@ func TestQueueAttachedDisconnectCancels(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	q := NewQueue(QueueConfig{})
+	// The run must still be executing when the client disconnects; the
+	// finest grid with elongation leaves it thousands of periods to go
+	// after its first progress event, so the disconnect always lands
+	// mid-run and only the cancellation ends it early.
 	spec := smallSpec(t, 9)
+	spec.GridPoints = repro.MaxGridPoints
 	spec.Refine = 6
+	spec.Metrics = []string{"occupancy", "elongation"}
 	spec.MaxInFlight = 1
 	spec.Workers = 2
 
@@ -387,8 +393,13 @@ func TestQueueAdmissionBound(t *testing.T) {
 	q := NewQueue(QueueConfig{MaxJobs: 1, TenantBudget: 1})
 	defer q.Close()
 
+	// The first run must still be executing when the second submit is
+	// admitted; a fine grid with elongation keeps it busy for far longer
+	// than the second submit's plan build takes.
 	spec := smallSpec(t, 41)
+	spec.GridPoints = 256
 	spec.Refine = 6
+	spec.Metrics = []string{"occupancy", "elongation"}
 	job, err := q.Submit(context.Background(), spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)

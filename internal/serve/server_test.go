@@ -332,6 +332,30 @@ func TestServerErrorMapping(t *testing.T) {
 	check(post(big), http.StatusRequestEntityTooLarge, "")
 }
 
+// TestServerRejectsOversizedPlan: a spec whose grid_points would size a
+// billion-slot candidate grid is refused at submit with a 400 naming
+// the bound, before any engine run.
+func TestServerRejectsOversizedPlan(t *testing.T) {
+	ts, q := testServer(t, QueueConfig{})
+	spec := smallSpec(t, 3)
+	spec.GridPoints = 1 << 30
+	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", submitBody(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "grid points") {
+		t.Fatalf("error does not name the bounded field: %s", body)
+	}
+	if st := q.Stats(); st.RunCount != 0 {
+		t.Fatalf("oversized spec started %d engine runs", st.RunCount)
+	}
+}
+
 // TestServerTenantHeader: X-Tenant lands on the job and its budget.
 func TestServerTenantHeader(t *testing.T) {
 	ts, _ := testServer(t, QueueConfig{})

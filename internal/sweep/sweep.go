@@ -158,8 +158,8 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 // without any engine query. The json tags are the wire contract of the
 // serving layer's SSE progress stream (internal/serve).
 type ProgressEvent struct {
-	// Pass is filled by multi-pass drivers (a bisection runs one engine
-	// pass per refinement round); a single Run leaves it 0.
+	// Pass is filled by multi-pass drivers (a refined scale search
+	// runs a second engine pass); a single Run leaves it 0.
 	Pass int `json:"pass"`
 	// Stage identifies the milestone; Delta is set for StagePeriod.
 	Stage Stage `json:"stage"`

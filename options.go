@@ -26,7 +26,7 @@ const (
 	// MetricOccupancy is the paper's occupancy method: per-∆ occupancy
 	// distributions scored by the plan's selectors. It is the only
 	// metric that determines a saturation scale (Report.Scale) and the
-	// only one the refinement bisection re-sweeps.
+	// only one the refinement pass re-sweeps.
 	MetricOccupancy Metric = iota
 	// MetricClassic is the Figure 2 classical graph-series properties
 	// (density, degree, connectedness).
@@ -133,7 +133,6 @@ type planConfig struct {
 	minDelta      int64
 	refine        int
 	laneWidth     int
-	speculate     bool
 	metrics       [numMetrics]bool
 	metricsSet    bool
 	noGlobal      bool
@@ -247,8 +246,8 @@ func WithMinDelta(lo int64) Option {
 
 // WithRefine adds extra grid points between the neighbours of the best
 // period found by the occupancy sweep and re-sweeps once, sharpening
-// the saturation scale beyond grid resolution. Each refinement round
-// is one more engine pass; every distinct ∆ is swept at most once.
+// the saturation scale beyond grid resolution. Refinement is exactly
+// one extra engine pass; every distinct ∆ is swept at most once.
 func WithRefine(extra int) Option {
 	return func(c *planConfig) error {
 		c.refine = extra
@@ -268,21 +267,6 @@ func WithLaneWidth(width int) Option {
 			return fmt.Errorf("repro: unsupported lane width %d (want 0, 4 or 8)", width)
 		}
 		c.laneWidth = width
-		return nil
-	}
-}
-
-// WithSpeculate switches the occupancy refinement to speculative
-// bracket bisection: each refinement round stages both candidate
-// half-midpoints of the bracket around the running maximum in a single
-// engine pass, instead of sweeping one midpoint and waiting for its
-// score before staging the next. WithRefine then bounds bisection
-// rounds rather than extra grid points. The ∆ sequence swept — and
-// therefore the reported scale and curve — is identical to serial
-// bisection's; only the pass batching differs.
-func WithSpeculate(speculate bool) Option {
-	return func(c *planConfig) error {
-		c.speculate = speculate
 		return nil
 	}
 }
@@ -421,8 +405,8 @@ func WithElongationSpill(bytes int64) Option {
 
 // WithProgress registers a progress hook: fn receives one ProgressEvent
 // per engine milestone (run planned, raw-stream trips enumerated, each
-// period scored), with Pass set to the bisection round for multi-pass
-// plans. Calls are serialised but run on engine goroutines — fn must
+// period scored), with Pass set to the round (0 for the initial pass,
+// 1 for the refinement pass) for multi-pass plans. Calls are serialised but run on engine goroutines — fn must
 // return quickly and must not call back into the plan.
 func WithProgress(fn func(ProgressEvent)) Option {
 	return func(c *planConfig) error {

@@ -13,11 +13,11 @@ package repro
 // curve the whole grid would have produced. Concatenating chunk curves
 // in lane order therefore reproduces the grid-order slice exactly —
 // for any chunking, including one chunk per ∆. The only whole-series
-// quantities are the refinement bisection (the coordinator drives the
-// identical core.ScaleSearch state machine through NextGrid and
-// AbsorbPoints, dispatching each round's fresh ∆s as occupancy-only
-// shards) and the snapshot-series stability scores (recomputed over
-// the merged values with the same metrics.Stability a local run uses).
+// quantities are the occupancy search's refinement (the coordinator
+// runs the same round driver as a local run, dispatching the
+// refinement round's fresh ∆s as an occupancy-only shard) and the
+// snapshot-series stability scores (recomputed over the merged values
+// with the same metrics.Stability a local run uses).
 //
 // Fault handling — retries, timeouts, re-dispatch to surviving workers
 // — lives in internal/distrib; everything here is pure partition and
@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
@@ -58,9 +57,9 @@ type ShardPlan struct {
 	// grid order — the contract ValidatePartial checks partials against.
 	Deltas []int64
 	// Spec is the shard's executable plan spec: the parent spec with
-	// the chunk as its explicit grid, refinement and speculation off
-	// (the coordinator owns the bisection), and — for window shards —
-	// exactly one window with WindowsOnly set. The stream reference
+	// the chunk as its explicit grid, refinement off (the coordinator
+	// owns the search), and — for window shards — exactly one window
+	// with WindowsOnly set. The stream reference
 	// carries the coordinator-observed header hash, so a worker whose
 	// file diverged refuses the shard instead of corrupting the fold.
 	Spec *PlanSpec
@@ -84,15 +83,6 @@ func specMetrics(spec *PlanSpec) ([]Metric, error) {
 	return ParseMetrics(strings.Join(spec.Metrics, ","))
 }
 
-func hasMetric(ms []Metric, want Metric) bool {
-	for _, m := range ms {
-		if m == want {
-			return true
-		}
-	}
-	return false
-}
-
 // PartitionSpec splits the spec's (window, ∆) job space into round-0
 // shards: every scope's candidate grid — the global grid and each
 // window's, resolved exactly as a local run resolves them — cut into
@@ -102,15 +92,22 @@ func hasMetric(ms []Metric, want Metric) bool {
 // header hash into every shard's stream ref. Adaptive specs cannot be
 // sharded (the segmentation chooses its own windows at run time).
 func PartitionSpec(spec *PlanSpec, shards int) ([]ShardPlan, error) {
+	round0, _, err := partition(spec, shards)
+	return round0, err
+}
+
+// partition is PartitionSpec returning, besides the round-0 shards,
+// the scopes DistributedRun drives, each holding its own chunk shards.
+func partition(spec *PlanSpec, shards int) ([]ShardPlan, []*scopeRun, error) {
 	if spec == nil {
-		return nil, errors.New("repro: nil plan spec")
+		return nil, nil, errors.New("repro: nil plan spec")
 	}
 	if spec.Adaptive != nil {
-		return nil, errors.New("repro: adaptive plans cannot be sharded: the segmentation chooses its own windows at run time")
+		return nil, nil, errors.New("repro: adaptive plans cannot be sharded: the segmentation chooses its own windows at run time")
 	}
 	plan, err := spec.NewPlan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer plan.Close()
 
@@ -123,40 +120,34 @@ func PartitionSpec(spec *PlanSpec, shards int) ([]ShardPlan, error) {
 		r.TimeMin, r.TimeMax, r.Events = ref.TimeMin, ref.TimeMax, ref.Events
 		base.Stream = &r
 	}
-
+	scopes, err := plan.scopes()
+	if err != nil {
+		return nil, nil, err
+	}
 	var out []ShardPlan
-	lane := 0
-	if !spec.WindowsOnly {
-		for _, chunk := range sweep.PartitionGrid(plan.cfg.grid, shards) {
-			sh := base
-			sh.Grid = chunk
-			sh.GridPoints, sh.MinDelta = 0, 0
-			sh.Refine, sh.Speculate = 0, false
-			sh.Windows, sh.WindowsOnly = nil, false
-			out = append(out, ShardPlan{Lane: lane, Scope: GlobalScope, Deltas: chunk, Spec: &sh})
-			lane++
+	for _, sr := range scopes {
+		for _, chunk := range sweep.PartitionGrid(sr.grid, shards) {
+			sh := scopeShard(base, sr, chunk, len(out))
+			sr.shards = append(sr.shards, sh)
+			out = append(out, sh)
 		}
 	}
-	if len(spec.Windows) > 0 {
-		grids, err := plan.windowGrids()
-		if err != nil {
-			return nil, err
-		}
-		for wi := range spec.Windows {
-			w := spec.Windows[wi]
-			for _, chunk := range sweep.PartitionGrid(grids[wi], shards) {
-				sh := base
-				sh.Grid = nil
-				sh.GridPoints, sh.MinDelta = 0, 0
-				sh.Refine, sh.Speculate = 0, false
-				sh.Windows = []Window{{Start: w.Start, End: w.End, Grid: chunk}}
-				sh.WindowsOnly = true
-				out = append(out, ShardPlan{Lane: lane, Scope: wi, Start: w.Start, End: w.End, Deltas: chunk, Spec: &sh})
-				lane++
-			}
-		}
+	return out, scopes, nil
+}
+
+// scopeShard shapes base into the shard scoring grid for one scope:
+// grid becomes the global grid, or the grid of the scope's single
+// window with WindowsOnly set, and refinement is off (the coordinator
+// owns the search).
+func scopeShard(base PlanSpec, sr *scopeRun, grid []int64, lane int) ShardPlan {
+	base.GridPoints, base.MinDelta, base.Refine = 0, 0, 0
+	base.Grid, base.Windows, base.WindowsOnly = grid, nil, false
+	if sr.scope != GlobalScope {
+		base.Grid = nil
+		base.Windows = []Window{{Start: sr.start, End: sr.end, Grid: grid}}
+		base.WindowsOnly = true
 	}
-	return out, nil
+	return ShardPlan{Lane: lane, Scope: sr.scope, Start: sr.start, End: sr.end, Deltas: grid, Spec: &base}
 }
 
 // partialCurves extracts the shard's scope curves from its partial.
@@ -237,7 +228,7 @@ func ValidatePartial(shard ShardPlan, rep *Report) error {
 	if len(cv.Snapshots) != len(snapshotWant) {
 		return fmt.Errorf("repro: partial carries %d snapshot curves, shard wants %d", len(cv.Snapshots), len(snapshotWant))
 	}
-	for i, c := range cv.Snapshots {
+	for _, c := range cv.Snapshots {
 		// Snapshot curves come back in enum order; the parsed metric list
 		// preserves request order, which spec.Options normalises to enum
 		// order through the metric bool set — so compare as sets.
@@ -259,7 +250,6 @@ func ValidatePartial(shard ShardPlan, rep *Report) error {
 				return fmt.Errorf("repro: partial snapshot %s series %q has %d values, shard wants %d", c.Metric, ser.Name, len(ser.Values), len(shard.Deltas))
 			}
 		}
-		_ = i
 	}
 	return nil
 }
@@ -300,25 +290,13 @@ func foldCurves(parts []Curves) Curves {
 	return out
 }
 
-// scopeState is one scope's fold state inside DistributedRun.
-type scopeState struct {
-	scope      int
-	start, end int64
-	grid       []int64 // whole scope grid, chunk order
-	shards     []ShardPlan
-	cv         Curves
-	res        Result
-	hasRes     bool
-	err        error
-}
-
 // DistributedRun executes the spec's job space through a ShardRunner
 // and folds the partials into the Report a local Plan.Run of the same
 // spec returns — byte-identical under the wire encoding, for any shard
-// count and any runner scheduling. Round 0 dispatches every scope's
-// chunks concurrently; scopes whose occupancy search refines then
-// drive the identical core.ScaleSearch protocol a local run drives,
-// dispatching each round's fresh ∆s as occupancy-only shards. The
+// count and any runner scheduling. Every scope runs the round driver a
+// local run uses in its own goroutine, with a shard-dispatching round
+// executor: round 0 dispatches the scope's chunks concurrently, and
+// each refinement round its fresh ∆s as one occupancy-only shard. The
 // returned report carries zero EngineStats (instrumentation never
 // travels with results).
 func DistributedRun(ctx context.Context, spec *PlanSpec, shards int, run ShardRunner) (*Report, error) {
@@ -328,173 +306,97 @@ func DistributedRun(ctx context.Context, spec *PlanSpec, shards int, run ShardRu
 	if run == nil {
 		return nil, errors.New("repro: DistributedRun needs a shard runner")
 	}
-	ms, err := specMetrics(spec)
+	round0, scopes, err := partition(spec, shards)
 	if err != nil {
 		return nil, err
-	}
-	sels, err := ParseSelectors(spec.Selectors)
-	if err != nil {
-		return nil, err
-	}
-	occOn := hasMetric(ms, MetricOccupancy)
-
-	round0, err := PartitionSpec(spec, shards)
-	if err != nil {
-		return nil, err
-	}
-
-	// Group the round-0 shards into report-order scopes.
-	var states []*scopeState
-	byScope := make(map[int]*scopeState)
-	for _, sh := range round0 {
-		st := byScope[sh.Scope]
-		if st == nil {
-			st = &scopeState{scope: sh.Scope, start: sh.Start, end: sh.End}
-			byScope[sh.Scope] = st
-			states = append(states, st)
-		}
-		st.shards = append(st.shards, sh)
-		st.grid = append(st.grid, sh.Deltas...)
 	}
 
 	var laneSeq atomic.Int64
 	laneSeq.Store(int64(len(round0)))
+	exec := shardRound(run, &laneSeq)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	errs := make([]error, len(scopes))
 	var wg sync.WaitGroup
-	for _, st := range states {
+	for i, sr := range scopes {
 		wg.Add(1)
-		go func(st *scopeState) {
+		go func() {
 			defer wg.Done()
-			if err := runScope(runCtx, spec, st, occOn, sels, &laneSeq, run); err != nil {
-				st.err = err
+			if err := driveScopes(runCtx, []*scopeRun{sr}, exec); err != nil {
+				errs[i] = err
 				cancel() // abort sibling scopes
 			}
-		}(st)
+		}()
 	}
 	wg.Wait()
 
-	for _, st := range states {
-		if st.err != nil && !errors.Is(st.err, context.Canceled) {
-			return nil, st.err
+	// Report the failing scope's error, not a sibling's cancellation.
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return nil, err
 		}
 	}
-	for _, st := range states {
-		if st.err != nil {
-			return nil, st.err
-		}
-	}
-
-	rep := &Report{}
-	for _, st := range states {
-		if st.scope == GlobalScope {
-			rep.global = st.cv
-			rep.scale, rep.hasScale = st.res, st.hasRes
-		} else {
-			rep.windows = append(rep.windows, WindowReport{
-				Start: st.start, End: st.end,
-				Scale: st.res, Curves: st.cv,
-			})
-		}
-	}
-	return rep, nil
-}
-
-// runScope folds one scope: concurrent round-0 chunks, then the
-// refinement protocol.
-func runScope(ctx context.Context, spec *PlanSpec, st *scopeState, occOn bool, sels []Selector, laneSeq *atomic.Int64, run ShardRunner) error {
-	parts := make([]Curves, len(st.shards))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := range st.shards {
-		wg.Add(1)
-		go func(i int, sh ShardPlan) {
-			defer wg.Done()
-			rep, err := run(ctx, sh)
-			if err == nil {
-				err = ValidatePartial(sh, rep)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard lane %d: %w", sh.Lane, err)
-				}
-				mu.Unlock()
-				return
-			}
-			parts[i] = partialCurves(sh, rep)
-		}(i, st.shards[i])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	st.cv = foldCurves(parts)
-	if !occOn {
-		return nil
-	}
-
-	search, err := core.NewScaleSearch(core.Options{
-		Directed:      spec.Directed,
-		Selectors:     sels,
-		Refine:        spec.Refine,
-		HistogramBins: spec.HistogramBins,
-		Speculate:     spec.Speculate,
-		Grid:          st.grid,
-	})
-	if err != nil {
-		return err
-	}
-	if _, ok := search.NextGrid(); !ok {
-		return errors.New("repro: scale search staged no initial request")
-	}
-	if err := search.AbsorbPoints(st.cv.Occupancy); err != nil {
-		return err
-	}
-	for {
-		grid, ok := search.NextGrid()
-		if !ok {
-			break
-		}
-		sh := refinementShard(st, grid, int(laneSeq.Add(1))-1)
-		rep, err := run(ctx, sh)
-		if err == nil {
-			err = ValidatePartial(sh, rep)
-		}
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("refinement shard lane %d: %w", sh.Lane, err)
-		}
-		if err := search.AbsorbPoints(partialCurves(sh, rep).Occupancy); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	res, err := search.Result()
-	if err != nil {
-		return err
-	}
-	st.res, st.hasRes = res, true
-	st.cv.Occupancy = res.Points
-	return nil
+	return scopeReport(scopes), nil
 }
 
-// refinementShard builds an occupancy-only shard over one refinement
-// round's fresh ∆s, reusing the scope's enriched round-0 spec.
-func refinementShard(st *scopeState, grid []int64, lane int) ShardPlan {
-	sh := *st.shards[0].Spec
-	sh.Metrics = []string{MetricOccupancy.String()}
-	if st.scope == GlobalScope {
-		sh.Grid = grid
-		sh.Windows, sh.WindowsOnly = nil, false
-	} else {
-		sh.Grid = nil
-		sh.Windows = []Window{{Start: st.start, End: st.end, Grid: grid}}
-		sh.WindowsOnly = true
+// shardRound is DistributedRun's round executor. Round 0 runs each
+// scope's chunk shards concurrently and folds their partials in lane
+// order (foldCurves); a refinement round runs the scope's fresh ∆s as
+// one occupancy-only shard on a fresh lane.
+func shardRound(run ShardRunner, laneSeq *atomic.Int64) roundExecutor {
+	return func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error) {
+		out := make([]Curves, len(scopes))
+		for i, sr := range scopes {
+			if round > 0 {
+				base := *sr.shards[0].Spec
+				base.Metrics = []string{MetricOccupancy.String()}
+				sh := scopeShard(base, sr, grids[i], int(laneSeq.Add(1))-1)
+				cv, err := runShard(ctx, run, sh)
+				if err != nil {
+					return nil, fmt.Errorf("refinement shard lane %d: %w", sh.Lane, err)
+				}
+				out[i] = cv
+				continue
+			}
+			parts := make([]Curves, len(sr.shards))
+			errs := make([]error, len(sr.shards))
+			var wg sync.WaitGroup
+			for j, sh := range sr.shards {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					parts[j], errs[j] = runShard(ctx, run, sh)
+				}()
+			}
+			wg.Wait()
+			for j, err := range errs {
+				if err != nil {
+					return nil, fmt.Errorf("shard lane %d: %w", sr.shards[j].Lane, err)
+				}
+			}
+			out[i] = foldCurves(parts)
+		}
+		return out, nil
 	}
-	return ShardPlan{Lane: lane, Scope: st.scope, Start: st.start, End: st.end, Deltas: grid, Spec: &sh}
+}
+
+// runShard runs one shard and returns its scope curves once the
+// partial passes ValidatePartial.
+func runShard(ctx context.Context, run ShardRunner, sh ShardPlan) (Curves, error) {
+	rep, err := run(ctx, sh)
+	if err == nil {
+		err = ValidatePartial(sh, rep)
+	}
+	if err != nil {
+		return Curves{}, err
+	}
+	return partialCurves(sh, rep), nil
 }
 
 // RunShardLocal executes one shard in-process — the single-process

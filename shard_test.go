@@ -1,9 +1,9 @@
 package repro
 
 // Distributed execution tests: partition shape, partial validation,
-// and the tentpole pin — DistributedRun over an in-process runner is
+// and the parity pin — DistributedRun over an in-process runner is
 // byte-identical to a local Plan.Run of the same spec, across metric
-// sets, windows, refinement, speculation and shard counts.
+// sets, windows, refinement and shard counts.
 
 import (
 	"bytes"
@@ -62,8 +62,8 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 	return b
 }
 
-// TestDistributedRunParity is the tentpole pin: for every combination
-// of metrics, windows, refinement, speculation and shard count, the
+// TestDistributedRunParity is the parity pin: for every combination
+// of metrics, windows, refinement and shard count, the
 // folded distributed report is byte-identical to the local one.
 func TestDistributedRunParity(t *testing.T) {
 	s := shardWorkload(t, 5)
@@ -81,11 +81,10 @@ func TestDistributedRunParity(t *testing.T) {
 			spec.GridPoints = 8
 			spec.Refine = 3
 		}},
-		{"snapshots speculative", func(spec *PlanSpec) {
+		{"snapshots refined", func(spec *PlanSpec) {
 			spec.Metrics = []string{"occupancy", "degree", "clustering", "components"}
 			spec.GridPoints = 7
 			spec.Refine = 2
-			spec.Speculate = true
 		}},
 		{"windows and global", func(spec *PlanSpec) {
 			spec.Metrics = []string{"occupancy", "classic"}
@@ -159,7 +158,7 @@ func TestDistributedRunColumnarParity(t *testing.T) {
 		if sh.Spec.Stream == nil || sh.Spec.Stream.Hash == "" {
 			t.Fatalf("lane %d: shard spec lacks the pinned header hash: %+v", sh.Lane, sh.Spec.Stream)
 		}
-		if sh.Spec.Refine != 0 || sh.Spec.Speculate {
+		if sh.Spec.Refine != 0 {
 			t.Fatalf("lane %d: shard spec kept refinement knobs", sh.Lane)
 		}
 	}
@@ -178,7 +177,6 @@ func TestPartitionSpecShape(t *testing.T) {
 	spec := inlineSpec(t, s, func(spec *PlanSpec) {
 		spec.Grid = LogGrid(1, 20_000, 10)
 		spec.Refine = 4
-		spec.Speculate = true
 		spec.Windows = []Window{{Start: t0, End: t1 + 1}}
 	})
 	shards, err := PartitionSpec(spec, 3)

@@ -32,8 +32,8 @@
 // segmentation (WithAdaptive), worker and memory budgets (WithWorkers,
 // WithMaxInFlight, WithHistogramBins) and custom observers
 // (WithObservers, WithSegments). However much one plan requests, it is
-// executed as one fused engine pass per bisection round — the stream
-// sorted once, every distinct (window, ∆) aggregation built and swept
+// executed as one fused engine pass, plus one more when WithRefine
+// refines the saturation scale — the stream sorted once, every distinct (window, ∆) aggregation built and swept
 // exactly once — and the typed Report carries per-metric and
 // per-window accessors plus the run's EngineStats.
 //
@@ -197,15 +197,6 @@
 // the layer passes per destination set — and 4 elsewhere. The lane
 // equivalence suites pin every width to the reference sweep bit for
 // bit.
-//
-// WithSpeculate turns on speculative bracket bisection for scale
-// searches. Serial bisection sweeps one bracket midpoint per engine
-// pass; speculation stages both half-midpoints of the current bracket
-// into a single fused pass, halving refinement passes while sweeping
-// the identical ∆ sequence (one of the two sweeps is discarded).
-// WithRefine bounds bisection rounds either way. Adaptive plans fuse
-// the speculative grids of the global and every per-segment search
-// into one windowed pass per round.
 //
 // Per-period layer arenas are pooled automatically, size-classed by
 // (nodes, events) powers of two, shelf-capped and idle-evicted so a
@@ -633,7 +624,7 @@ func MultiSweepWindowed(s *Stream, opt SweepEngineOptions, segments ...SegmentOb
 // every period of grid with obs.
 type SweepRunner = core.SweepRunner
 
-// ScaleSearch is the occupancy method as a resumable bisection,
+// ScaleSearch is the occupancy method as a resumable search,
 // letting a caller batch the engine passes of many concurrent searches
 // (see core.ScaleSearch for the protocol).
 type ScaleSearch = core.ScaleSearch
@@ -642,7 +633,7 @@ type ScaleSearch = core.ScaleSearch
 func NewScaleSearch(opt Options) (*ScaleSearch, error) { return core.NewScaleSearch(opt) }
 
 // SaturationScaleWith runs the occupancy method's sweep-then-refine
-// bisection through a caller-supplied engine pass. Callers that do not
+// search through a caller-supplied engine pass. Callers that do not
 // need a custom runner should build a Plan instead (NewAnalysis).
 func SaturationScaleWith(opt Options, run SweepRunner) (Result, error) {
 	return core.SaturationScaleWith(context.Background(), opt, run)

@@ -66,9 +66,9 @@ type AdaptiveSpec struct {
 // value plus a stream reference is the paper's default analysis, like
 // option-less NewAnalysis; every field maps onto exactly one
 // functional option (see Options). Fields that do not alter results —
-// Workers, MaxInFlight, LaneWidth, Speculate, ElongationSpill — are
-// execution hints: the engine pins results bit-identical across them,
-// which is what lets a server cache results without keying on them.
+// Workers, MaxInFlight, LaneWidth, ElongationSpill — are execution
+// hints: the engine pins results bit-identical across them, which is
+// what lets a server cache results without keying on them.
 type PlanSpec struct {
 	// Stream references the stream file; exactly one of Stream and
 	// Inline must be set.
@@ -103,7 +103,6 @@ type PlanSpec struct {
 	Workers         int   `json:"workers,omitempty"`
 	MaxInFlight     int   `json:"max_inflight,omitempty"`
 	LaneWidth       int   `json:"lane_width,omitempty"`
-	Speculate       bool  `json:"speculate,omitempty"`
 	ElongationSpill int64 `json:"elongation_spill,omitempty"`
 }
 
@@ -193,9 +192,6 @@ func (spec *PlanSpec) Options() ([]Option, error) {
 	}
 	if spec.LaneWidth != 0 {
 		opts = append(opts, WithLaneWidth(spec.LaneWidth))
-	}
-	if spec.Speculate {
-		opts = append(opts, WithSpeculate(true))
 	}
 	if spec.ElongationSpill != 0 {
 		opts = append(opts, WithElongationSpill(spec.ElongationSpill))
