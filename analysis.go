@@ -5,10 +5,8 @@ package repro
 // grids, windows, refinement policy, engine budgets — into an immutable
 // Plan, and Plan.Run(ctx) executes it as fused sweep-engine passes with
 // context cancellation, progress streaming and per-run engine
-// statistics. Every deprecated entry point (SaturationScale, Sweep,
-// MultiSweep, MultiSweepWindowed, ClassicProperties, TransitionLoss,
-// Elongation, AnalyzeAdaptive) is a thin wrapper over a Plan, pinned
-// bit-exact by the equivalence tests in analysis_equiv_test.go.
+// statistics. Every plan, adaptive ones included, runs its scopes
+// through one round driver (driveScopes).
 
 import (
 	"context"
@@ -83,7 +81,7 @@ type Plan struct {
 	cfg planConfig
 
 	// Lazy whole-file materialisation of a columnar plan's stream, for
-	// consumers that need an in-memory Stream (adaptive analysis,
+	// consumers that need an in-memory Stream (adaptive segmentation,
 	// ComputeStats); the engine itself never goes through it.
 	matOnce sync.Once
 	mat     *Stream
@@ -183,17 +181,13 @@ func NewAnalysis(s *Stream, opts ...Option) (*Plan, error) {
 				lo = s.Resolution()
 			}
 		}
-		points := cfg.gridPoints
-		if points <= 0 {
-			points = core.DefaultGridPoints
-		}
 		dur := int64(0)
 		if col != nil {
 			dur = col.Duration()
 		} else {
 			dur = s.Duration()
 		}
-		cfg.grid = core.LogGrid(lo, dur, points)
+		cfg.grid = core.LogGrid(lo, dur, cfg.points())
 	}
 	if cfg.histogramBins > 0 && cfg.metricOn(MetricOccupancy) {
 		for _, sel := range cfg.selectors {
@@ -400,55 +394,73 @@ func (mo metricObservers) curves() Curves {
 	return cv
 }
 
+// points returns the resolution of derived candidate grids: the
+// WithGridPoints value, or the default — adaptive.DefaultGridPoints for
+// adaptive plans, core.DefaultGridPoints otherwise.
+func (c *planConfig) points() int {
+	switch {
+	case c.gridPoints > 0:
+		return c.gridPoints
+	case c.adaptive != nil:
+		return adaptive.DefaultGridPoints
+	}
+	return core.DefaultGridPoints
+}
+
+// derivedGrid returns the logarithmic candidate grid of the events in
+// [start, end) — from their own resolution to their own span — and the
+// number of those events; the grid is nil when there are none. A
+// columnar source materialises just the window's span, through the skip
+// index, not the whole file.
+func (p *Plan) derivedGrid(start, end int64) ([]int64, int, error) {
+	sub, _, err := p.engineSource().EngineEvents(start, end, false)
+	if err != nil || len(sub) == 0 {
+		return nil, 0, err
+	}
+	return core.LogGrid(linkstream.EventsResolution(sub), linkstream.EventsDuration(sub), p.cfg.points()), len(sub), nil
+}
+
 // windowGrids resolves the candidate grid of every plan window, in
 // WithWindows order: an explicit Window.Grid is used as-is, an empty
-// one derives a logarithmic grid from the window's own resolution and
-// span, exactly like the adaptive per-segment grids. A columnar source
-// materialises just each window's span here, through the skip index —
-// not the whole file. The shard partitioner (PartitionSpec) calls this
-// too, so coordinator-side chunking and a local run resolve identical
-// grids.
+// one is the window's derivedGrid. The shard partitioner
+// (PartitionSpec) calls this too, so coordinator-side chunking and a
+// local run resolve identical grids.
 func (p *Plan) windowGrids() ([][]int64, error) {
 	c := &p.cfg
-	src := p.engineSource()
 	grids := make([][]int64, len(c.windows))
-	for i := range c.windows {
-		w := &c.windows[i]
+	for i, w := range c.windows {
 		grid := w.Grid
 		if len(grid) == 0 {
-			sub, _, err := src.EngineEvents(w.Start, w.End, false)
-			if err != nil {
+			var n int
+			var err error
+			if grid, n, err = p.derivedGrid(w.Start, w.End); err != nil {
 				return nil, err
 			}
-			if len(sub) == 0 {
+			if n == 0 {
 				return nil, fmt.Errorf("repro: window [%d, %d) has no events", w.Start, w.End)
 			}
-			points := c.gridPoints
-			if points <= 0 {
-				points = core.DefaultGridPoints
-			}
-			grid = core.LogGrid(linkstream.EventsResolution(sub), linkstream.EventsDuration(sub), points)
 		}
 		grids[i] = grid
 	}
 	return grids, nil
 }
 
-// scopeRun is one scope of a standard (non-adaptive) run — the global
-// scope or one plan window — as the round driver advances it, locally
-// or distributed.
+// scopeRun is one scope of a run — the global scope, one plan window
+// or one adaptive activity segment — as the round driver advances it,
+// locally or distributed.
 type scopeRun struct {
-	scope      int     // GlobalScope or the plan window's index
+	scope      int     // GlobalScope, or the plan window's or activity segment's index
 	start, end int64   // engine window bounds; 0,0 selects the whole stream
 	grid       []int64 // the scope's whole candidate grid, scored in round 0
 	search     *core.ScaleSearch
+	segment    bool        // an adaptive activity segment: occupancy search only
 	shards     []ShardPlan // round-0 chunk shards of a distributed run
 	cv         Curves
 	res        Result
 	hasRes     bool
 }
 
-// scopes builds the scopes of a standard run in report order: the
+// scopes builds the scopes of a non-adaptive run in report order: the
 // global scope (unless the plan drops it or has nothing to attach to
 // it), then every plan window, each with an occupancy search when the
 // plan computes occupancy.
@@ -471,12 +483,7 @@ func (p *Plan) scopes() ([]*scopeRun, error) {
 		return scopes, nil
 	}
 	for _, sr := range scopes {
-		search, err := core.NewScaleSearch(core.Options{
-			Selectors:     c.selectors,
-			Refine:        c.refine,
-			HistogramBins: c.histogramBins,
-			Grid:          sr.grid,
-		})
+		search, err := c.newSearch(sr.grid)
 		if err != nil {
 			if sr.scope != GlobalScope {
 				err = fmt.Errorf("repro: window [%d, %d): %w", sr.start, sr.end, err)
@@ -488,18 +495,28 @@ func (p *Plan) scopes() ([]*scopeRun, error) {
 	return scopes, nil
 }
 
-// roundExecutor scores one round of a standard run: grids[i] for
+// newSearch stages the plan's occupancy search over grid.
+func (c *planConfig) newSearch(grid []int64) (*core.ScaleSearch, error) {
+	return core.NewScaleSearch(core.Options{
+		Selectors:     c.selectors,
+		Refine:        c.refine,
+		HistogramBins: c.histogramBins,
+		Grid:          grid,
+	})
+}
+
+// roundExecutor scores one round of a run: grids[i] for
 // scopes[i], returning each scope's curves in scope order. Round 0
 // carries every scope's whole grid and computes every metric; a later
 // round carries the fresh ∆s of still-refining occupancy searches and
 // only its Occupancy curve is read.
 type roundExecutor func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error)
 
-// driveScopes is the one round driver of standard runs, local and
-// distributed alike: each round collects the grid every scope's
-// occupancy search stages (NextGrid), has exec score the round, and
-// folds the scored points back (AbsorbPoints), until every search has
-// converged. Scopes without a search take part in round 0 only.
+// driveScopes is the one round driver of every run — standard and
+// adaptive, local and distributed: each round collects the grid every
+// scope's occupancy search stages (NextGrid), has exec score the round,
+// and folds the scored points back (AbsorbPoints), until every search
+// has converged. Scopes without a search take part in round 0 only.
 func driveScopes(ctx context.Context, scopes []*scopeRun, exec roundExecutor) error {
 	for round := 0; ; round++ {
 		var active []*scopeRun
@@ -551,7 +568,8 @@ func driveScopes(ctx context.Context, scopes []*scopeRun, exec roundExecutor) er
 }
 
 // scopeReport assembles the Report of driven scopes: the global scope's
-// curves and scale, then one WindowReport per window scope.
+// curves and scale, then one WindowReport per window scope. Adaptive
+// segment scopes report through adaptive.Analysis instead.
 func scopeReport(scopes []*scopeRun) *Report {
 	rep := &Report{}
 	for _, sr := range scopes {
@@ -587,9 +605,10 @@ func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
 
 // localRound is the in-process round executor: the whole round is one
 // fused sweep.RunSource pass over every active scope. Round 0 carries
-// each scope's occupancy observer, curve observers and — on the global
-// scope — the custom observers, plus the plan's raw segments; later
-// rounds carry only the refining occupancy observers.
+// each scope's occupancy observer, the curve observers of every scope
+// but adaptive segments and — on the global scope — the custom
+// observers, plus the plan's raw segments; later rounds carry only the
+// refining occupancy observers.
 func (p *Plan) localRound(stats *EngineStats) roundExecutor {
 	c := &p.cfg
 	engOpt := sweep.Options{
@@ -610,7 +629,7 @@ func (p *Plan) localRound(stats *EngineStats) roundExecutor {
 				occ[i] = core.NewOccupancyObserver(c.selectors)
 				observers = append(observers, occ[i])
 			}
-			if round == 0 {
+			if round == 0 && !sr.segment {
 				var mobs []sweep.Observer
 				mos[i], mobs = p.newMetricObservers()
 				observers = append(observers, mobs...)
@@ -644,42 +663,55 @@ func (p *Plan) localRound(stats *EngineStats) roundExecutor {
 	}
 }
 
-// runAdaptive executes the plan through the activity-segmented
-// analysis: segmentation, the global scale search, one search per
-// sufficiently populated segment, and the plan's other metrics and
-// custom observers attached to the global scope — all fused per round.
+// runAdaptive executes the activity-segmented analysis on the round
+// driver. The global scope always carries an occupancy search, plus
+// the plan's other metrics and custom observers; every segment of at
+// least adaptive.MinSegmentEvents events adds an occupancy-only scope
+// over its derivedGrid. Each round is one fused engine pass over all
+// of them.
 func (p *Plan) runAdaptive(ctx context.Context) (*Report, error) {
 	c := &p.cfg
-	var stats EngineStats
-	acfg := *c.adaptive
-	acfg.Directed = c.directed
-	acfg.Workers = c.workers
-	acfg.MaxInFlight = c.maxInFlight
-	acfg.Selectors = c.selectors
-	acfg.Refine = c.refine
-	acfg.GridPoints = c.gridPoints
-	acfg.MinDelta = c.minDelta
-	acfg.LaneWidth = c.laneWidth
-	acfg.Stats = &stats
-	acfg.Progress = c.progress
-	mo, mobs := p.newMetricObservers()
-	// The adaptive segmentation needs the whole stream in memory;
-	// columnar plans materialise it once here.
+	// The segmentation needs the whole stream in memory; columnar plans
+	// materialise it once here. The engine passes still read
+	// engineSource.
 	s, err := p.Stream()
 	if err != nil {
 		return nil, err
 	}
-	a, err := adaptive.AnalyzeWith(ctx, s, acfg, append(mobs, c.observers...)...)
+	segs, twoMode, err := adaptive.Segments(s, *c.adaptive)
 	if err != nil {
 		return nil, err
 	}
-	cv := mo.curves()
-	cv.Occupancy = a.Global.Points
-	return &Report{
-		scale:    a.Global,
-		hasScale: true,
-		global:   cv,
-		adaptive: a,
-		stats:    stats,
-	}, nil
+	global, err := c.newSearch(c.grid)
+	if err != nil {
+		return nil, err
+	}
+	scopes := []*scopeRun{{scope: GlobalScope, grid: c.grid, search: global}}
+	for i, seg := range segs {
+		grid, n, err := p.derivedGrid(seg.Start, seg.End)
+		if err != nil {
+			return nil, err
+		}
+		if n < adaptive.MinSegmentEvents {
+			continue
+		}
+		search, err := c.newSearch(grid)
+		if err != nil {
+			return nil, fmt.Errorf("repro: segment [%d, %d): %w", seg.Start, seg.End, err)
+		}
+		scopes = append(scopes, &scopeRun{scope: i, start: seg.Start, end: seg.End, grid: grid, search: search, segment: true})
+	}
+	var stats EngineStats
+	if err := driveScopes(ctx, scopes, p.localRound(&stats)); err != nil {
+		return nil, err
+	}
+	res := scopes[0].res
+	a := &adaptive.Analysis{Segments: segs, TwoMode: twoMode, Global: res, GlobalGamma: res.Gamma, MinGamma: res.Gamma}
+	for _, sr := range scopes[1:] {
+		a.Segments[sr.scope].Gamma = sr.res.Gamma
+		a.MinGamma = min(a.MinGamma, sr.res.Gamma)
+	}
+	rep := scopeReport(scopes[:1])
+	rep.adaptive, rep.stats = a, stats
+	return rep, nil
 }

@@ -45,9 +45,8 @@ func TestPlanRunPreCancelled(t *testing.T) {
 		t.Fatalf("RunCount = %d after pre-cancelled Run, want 0", got)
 	}
 
-	// Same contract for the deprecated-path internals reached through a
-	// plan: the adaptive run.
-	adPlan, err := NewAnalysis(uniformWorkload(t), WithAdaptive(AdaptiveConfig{GridPoints: 6}))
+	// Same contract for the adaptive run.
+	adPlan, err := NewAnalysis(uniformWorkload(t), WithAdaptive(AdaptiveConfig{}), WithGridPoints(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package repro
 
-// Equivalence pins for the API redesign: every deprecated wrapper must
-// be bit-exact with (a) the internal implementation it used to call
-// directly and (b) its Plan/Run replacement. Together with the
-// internal packages' own *Reference equivalence suites, this chains
-// the new single execution path all the way back to the seed
-// implementations.
+// Equivalence pins of the plan against the internal implementations
+// that define each result: every Plan.Run must be bit-exact with
+// core.SaturationScale, core.Sweep, classic.Curve, the validate
+// curves, a raw sweep.Run or sweep.RunWindowed pass, and
+// adaptive.AnalyzeReference. Together with the internal packages' own
+// *Reference equivalence suites, this chains the single execution path
+// back to the seed implementations. Each test keeps the name of the
+// root-level entry point that used to carry its contract.
 
 import (
 	"context"
@@ -19,6 +21,37 @@ import (
 	"repro/internal/validate"
 )
 
+// runPlan builds the plan and runs it, failing the test on any error.
+func runPlan(t testing.TB, s *Stream, opts ...Option) *Report {
+	t.Helper()
+	plan, err := NewAnalysis(s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// planOptions maps core.Options onto the plan options that run the
+// same occupancy analysis.
+func planOptions(opt Options) []Option {
+	opts := []Option{
+		WithDirected(opt.Directed),
+		WithWorkers(opt.Workers),
+		WithSelectors(opt.Selectors...),
+		WithRefine(opt.Refine),
+		WithHistogramBins(opt.HistogramBins),
+		WithMaxInFlight(opt.MaxInFlight),
+	}
+	if len(opt.Grid) > 0 {
+		opts = append(opts, WithGrid(opt.Grid...))
+	}
+	return opts
+}
+
 func TestSaturationScaleWrapperEquivalence(t *testing.T) {
 	s := uniformWorkload(t)
 	for _, opt := range []Options{
@@ -31,30 +64,9 @@ func TestSaturationScaleWrapperEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SaturationScale(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SaturationScale wrapper diverged for %+v:\n got %+v\nwant %+v", opt, got, want)
-		}
-
-		// And against the explicit plan.
-		opts := optionsFromCore(opt)
-		if len(opt.Grid) > 0 {
-			opts = append(opts, WithGrid(opt.Grid...))
-		}
-		plan, err := NewAnalysis(s, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := plan.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, ok := rep.Scale()
+		res, ok := runPlan(t, s, planOptions(opt)...).Scale()
 		if !ok || !reflect.DeepEqual(res, want) {
-			t.Fatalf("plan scale diverged for %+v", opt)
+			t.Fatalf("plan scale diverged for %+v:\n got %+v\nwant %+v", opt, res, want)
 		}
 	}
 }
@@ -72,12 +84,9 @@ func TestSweepWrapperEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweep(s, grid, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runPlan(t, s, append(planOptions(opt), WithGrid(grid...))...).Occupancy()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Sweep wrapper diverged for %+v", opt)
+			t.Fatalf("plan occupancy curve diverged for %+v", opt)
 		}
 	}
 }
@@ -86,61 +95,56 @@ func TestCurveWrapperEquivalence(t *testing.T) {
 	s := uniformWorkload(t)
 	grid := LogGrid(1, 50_000, 8)
 	for _, directed := range []bool{false, true} {
+		rep := runPlan(t, s, WithMetrics(MetricClassic, MetricTransitionLoss, MetricElongation),
+			WithGrid(grid...), WithDirected(directed))
+
 		wantClassic, err := classic.Curve(context.Background(), s, grid, classic.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClassic, err := ClassicProperties(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotClassic, wantClassic) {
-			t.Fatalf("ClassicProperties diverged (directed=%v)", directed)
+		if !reflect.DeepEqual(rep.Classic(), wantClassic) {
+			t.Fatalf("classic curve diverged (directed=%v)", directed)
 		}
 
 		wantLoss, err := validate.TransitionLossCurve(context.Background(), s, grid, validate.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotLoss, err := TransitionLoss(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotLoss, wantLoss) {
-			t.Fatalf("TransitionLoss diverged (directed=%v)", directed)
+		if !reflect.DeepEqual(rep.TransitionLoss(), wantLoss) {
+			t.Fatalf("transition-loss curve diverged (directed=%v)", directed)
 		}
 
 		wantElong, err := validate.ElongationCurve(context.Background(), s, grid, validate.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotElong, err := Elongation(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotElong, wantElong) {
-			t.Fatalf("Elongation diverged (directed=%v)", directed)
+		if !reflect.DeepEqual(rep.Elongation(), wantElong) {
+			t.Fatalf("elongation curve diverged (directed=%v)", directed)
 		}
 	}
 }
 
 func TestAnalyzeAdaptiveWrapperEquivalence(t *testing.T) {
 	s := twoModeWorkload(t)
-	for _, cfg := range []AdaptiveConfig{
+	for _, c := range []struct {
+		cfg      AdaptiveConfig
+		opt      Options
+		points   int
+		minDelta int64
+	}{
 		{},
-		{Bins: 60, GridPoints: 10, MaxInFlight: 2},
-		{GridPoints: 8, Refine: 2, Workers: 3},
+		{cfg: AdaptiveConfig{Bins: 60}, opt: Options{MaxInFlight: 2}, points: 10},
+		{opt: Options{Refine: 2, Workers: 3}, points: 8},
+		{cfg: AdaptiveConfig{MinRunBins: 3, SeparationFactor: 2}, opt: Options{Directed: true}, points: 8, minDelta: 60},
 	} {
-		want, err := adaptive.Analyze(context.Background(), s, cfg)
+		want, err := adaptive.AnalyzeReference(s, c.cfg, c.opt, c.points, c.minDelta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AnalyzeAdaptive(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runPlan(t, s, append(planOptions(c.opt),
+			WithAdaptive(c.cfg), WithGridPoints(c.points), WithMinDelta(c.minDelta))...).Adaptive()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("AnalyzeAdaptive wrapper diverged for %+v:\n got %+v\nwant %+v", cfg, got, want)
+			t.Fatalf("adaptive plan diverged for %+v:\n got %+v\nwant %+v", c, got, want)
 		}
 	}
 }
@@ -159,22 +163,19 @@ func TestMultiSweepWrapperEquivalence(t *testing.T) {
 		}
 	}
 	wantObs := build()
-	if err := sweep.Run(context.Background(), s, grid, SweepEngineOptions{MaxInFlight: 2}, wantObs...); err != nil {
+	if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, wantObs...); err != nil {
 		t.Fatal(err)
 	}
 	gotObs := build()
-	var stats EngineStats
-	if err := MultiSweep(s, grid, SweepEngineOptions{MaxInFlight: 2, Stats: &stats}, gotObs...); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Passes != 1 || stats.Builds != int64(len(grid)) {
-		t.Fatalf("wrapper did not surface engine stats: %+v", stats)
+	rep := runPlan(t, s, WithMetrics(), WithGrid(grid...), WithMaxInFlight(2), WithObservers(gotObs...))
+	if stats := rep.EngineStats(); stats.Passes != 1 || stats.Builds != int64(len(grid)) {
+		t.Fatalf("observer plan engine stats = %+v, want 1 pass and %d builds", stats, len(grid))
 	}
 	for i := range wantObs {
 		want := observerPoints(t, wantObs[i])
 		got := observerPoints(t, gotObs[i])
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("MultiSweep wrapper diverged for observer %d (%T)", i, wantObs[i])
+			t.Fatalf("observer plan diverged for observer %d (%T)", i, wantObs[i])
 		}
 	}
 
@@ -188,16 +189,14 @@ func TestMultiSweepWrapperEquivalence(t *testing.T) {
 		}
 	}
 	wantObs = build()
-	if err := sweep.RunWindowed(context.Background(), s, SweepEngineOptions{}, segs(wantObs)...); err != nil {
+	if err := sweep.RunWindowed(context.Background(), s, sweep.Options{}, segs(wantObs)...); err != nil {
 		t.Fatal(err)
 	}
 	gotObs = build()
-	if err := MultiSweepWindowed(s, SweepEngineOptions{}, segs(gotObs)...); err != nil {
-		t.Fatal(err)
-	}
+	runPlan(t, s, WithMetrics(), WithSegments(segs(gotObs)...))
 	for i := range wantObs {
 		if !reflect.DeepEqual(observerPoints(t, gotObs[i]), observerPoints(t, wantObs[i])) {
-			t.Fatalf("MultiSweepWindowed wrapper diverged for observer %d (%T)", i, wantObs[i])
+			t.Fatalf("segment plan diverged for observer %d (%T)", i, wantObs[i])
 		}
 	}
 }

@@ -3,12 +3,13 @@ package repro
 // Out-of-core ingest equivalence (the acceptance pin of the columnar
 // linkstream work): a Plan.Run over a tsconvert-style mapped columnar
 // file must be bit-identical — every scale result, every curve point,
-// every window — to the same plan over the text-parsed in-memory
-// stream, while the engine's sort pass is skipped on every pass of the
-// mapped run and on none of the in-memory run.
+// every window, every adaptive segment — to the same plan over the
+// text-parsed in-memory stream, while the engine's sort pass is skipped
+// on every pass of the mapped run and on none of the in-memory run.
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,68 +49,85 @@ func TestPlanStreamPathMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := columnarPathOf(t, s)
-
 			t0, t1, _ := s.Span()
 			mid := (t0 + t1) / 2
-			opts := func() []Option {
-				return []Option{
-					WithDirected(directed),
-					WithMetrics(MetricOccupancy, MetricClassic, MetricDistance,
-						MetricTransitionLoss, MetricElongation),
-					WithGridPoints(8),
-					WithRefine(2),
-					WithWorkers(3),
-					WithMaxInFlight(2),
-					WithWindows(Window{Start: t0, End: mid}, Window{Start: mid, End: t1 + 1}),
-					WithElongationSpill(1), // spill-forced, still bit-exact
-				}
-			}
+			checkStreamPathParity(t, fmt.Sprintf("windows directed=%v seed=%d", directed, seed), s,
+				WithDirected(directed),
+				WithMetrics(MetricOccupancy, MetricClassic, MetricDistance,
+					MetricTransitionLoss, MetricElongation),
+				WithGridPoints(8),
+				WithRefine(2),
+				WithWorkers(3),
+				WithMaxInFlight(2),
+				WithWindows(Window{Start: t0, End: mid}, Window{Start: mid, End: t1 + 1}),
+				WithElongationSpill(1), // spill-forced, still bit-exact
+			)
 
-			memPlan, err := NewAnalysis(s, opts()...)
+			// Adaptive plans slice their activity segments out of the
+			// mapped file through the same skip index.
+			two, err := synth.TwoMode(synth.TwoModeConfig{
+				Nodes: 10, N1: 14, N2: 1, T1: 4000, T2: 6000, Alternations: 3, Seed: seed,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			memRep, err := memPlan.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			mapPlan, err := NewAnalysis(nil, append(opts(), WithStreamPath(path))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mapPlan.Close()
-			mapRep, err := mapPlan.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			memRes, memOK := memRep.Scale()
-			mapRes, mapOK := mapRep.Scale()
-			if memOK != mapOK || !reflect.DeepEqual(memRes, mapRes) {
-				t.Fatalf("directed=%v seed=%d: scale diverged:\n mem %+v\n map %+v", directed, seed, memRes, mapRes)
-			}
-			if !reflect.DeepEqual(memRep.Global(), mapRep.Global()) {
-				t.Fatalf("directed=%v seed=%d: global curves diverged", directed, seed)
-			}
-			if !reflect.DeepEqual(memRep.Windows(), mapRep.Windows()) {
-				t.Fatalf("directed=%v seed=%d: window reports diverged", directed, seed)
-			}
-
-			memSt, mapSt := memRep.EngineStats(), mapRep.EngineStats()
-			if memSt.SortSkips != 0 {
-				t.Fatalf("directed=%v seed=%d: in-memory run skipped %d sorts", directed, seed, memSt.SortSkips)
-			}
-			if mapSt.SortSkips == 0 || mapSt.SortSkips != mapSt.Passes {
-				t.Fatalf("directed=%v seed=%d: mapped run skipped %d sorts over %d passes, want every pass",
-					directed, seed, mapSt.SortSkips, mapSt.Passes)
-			}
-			if memSt.Passes != mapSt.Passes || memSt.Builds != mapSt.Builds {
-				t.Fatalf("directed=%v seed=%d: pass/build counts diverged: mem %d/%d, map %d/%d",
-					directed, seed, memSt.Passes, memSt.Builds, mapSt.Passes, mapSt.Builds)
-			}
+			checkStreamPathParity(t, fmt.Sprintf("adaptive directed=%v seed=%d", directed, seed), two,
+				WithDirected(directed),
+				WithMetrics(MetricOccupancy, MetricClassic),
+				WithGridPoints(8),
+				WithRefine(2),
+				WithWorkers(3),
+				WithMaxInFlight(2),
+				WithAdaptive(AdaptiveConfig{Bins: 60}),
+			)
 		}
+	}
+}
+
+// checkStreamPathParity runs the plan over s in memory and over its
+// columnar encoding through WithStreamPath, and requires identical
+// reports, identical pass and build counts, and a skipped sort on
+// every pass of the mapped run only.
+func checkStreamPathParity(t *testing.T, name string, s *Stream, opts ...Option) {
+	t.Helper()
+	path := columnarPathOf(t, s)
+	memRep := runPlan(t, s, opts...)
+	mapPlan, err := NewAnalysis(nil, append(opts, WithStreamPath(path))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapPlan.Close()
+	mapRep, err := mapPlan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	memRes, memOK := memRep.Scale()
+	mapRes, mapOK := mapRep.Scale()
+	if memOK != mapOK || !reflect.DeepEqual(memRes, mapRes) {
+		t.Fatalf("%s: scale diverged:\n mem %+v\n map %+v", name, memRes, mapRes)
+	}
+	if !reflect.DeepEqual(memRep.Global(), mapRep.Global()) {
+		t.Fatalf("%s: global curves diverged", name)
+	}
+	if !reflect.DeepEqual(memRep.Windows(), mapRep.Windows()) {
+		t.Fatalf("%s: window reports diverged", name)
+	}
+	if !reflect.DeepEqual(memRep.Adaptive(), mapRep.Adaptive()) {
+		t.Fatalf("%s: adaptive analyses diverged:\n mem %+v\n map %+v", name, memRep.Adaptive(), mapRep.Adaptive())
+	}
+
+	memSt, mapSt := memRep.EngineStats(), mapRep.EngineStats()
+	if memSt.SortSkips != 0 {
+		t.Fatalf("%s: in-memory run skipped %d sorts", name, memSt.SortSkips)
+	}
+	if mapSt.SortSkips == 0 || mapSt.SortSkips != mapSt.Passes {
+		t.Fatalf("%s: mapped run skipped %d sorts over %d passes, want every pass",
+			name, mapSt.SortSkips, mapSt.Passes)
+	}
+	if memSt.Passes != mapSt.Passes || memSt.Builds != mapSt.Builds {
+		t.Fatalf("%s: pass/build counts diverged: mem %d/%d, map %d/%d",
+			name, memSt.Passes, memSt.Builds, mapSt.Passes, mapSt.Builds)
 	}
 }
 

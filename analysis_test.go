@@ -210,7 +210,7 @@ func TestPlanRunAdaptiveReport(t *testing.T) {
 	plan, err := NewAnalysis(s,
 		WithAdaptive(AdaptiveConfig{Bins: 60}),
 		WithGridPoints(10),
-		WithMetrics(MetricOccupancy, MetricClassic),
+		WithMetrics(MetricOccupancy, MetricClassic, MetricTransitionLoss),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +234,12 @@ func TestPlanRunAdaptiveReport(t *testing.T) {
 	}
 	if st := rep.EngineStats(); st.Passes == 0 || st.Builds == 0 {
 		t.Fatalf("engine stats not populated: %+v", st)
+	}
+	// Metric observers ride the global scope only: the loss curve's
+	// raw-stream trips are enumerated once, for the whole stream, not
+	// again for each activity segment.
+	if n := rep.EngineStats().StreamBuilds; n != 1 {
+		t.Fatalf("StreamBuilds = %d, want 1 (segment scopes carry no metric observers)", n)
 	}
 }
 

@@ -532,18 +532,22 @@ func adaptiveBenchStream(b *testing.B) *Stream {
 }
 
 // BenchmarkAdaptiveAnalyze vs BenchmarkAdaptiveAnalyzeReference: the
-// fused windowed-engine adaptive analysis (one engine pass serving the
-// global sweep and every segment sweep) against the retained
-// per-segment implementation (one core.SaturationScale pass per
-// segment plus one global pass). Both compute bit-identical results —
-// the equivalence tests in internal/adaptive pin that — so the delta
-// is pure engine-pass overhead: repeated canonicalisation, worker-pool
-// spin-up, and the lost cross-segment parallelism.
+// adaptive plan (one fused engine pass serving the global sweep and
+// every segment sweep) against the per-segment reference
+// implementation (one core.SaturationScale pass per segment plus one
+// global pass). Both compute bit-identical results — the plan tests in
+// internal/adaptive pin that — so the delta is pure engine-pass
+// overhead: repeated canonicalisation, worker-pool spin-up, and the
+// lost cross-segment parallelism.
 func BenchmarkAdaptiveAnalyze(b *testing.B) {
 	s := adaptiveBenchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adaptive.Analyze(context.Background(), s, adaptive.Config{GridPoints: 10}); err != nil {
+		plan, err := NewAnalysis(s, WithAdaptive(AdaptiveConfig{}), WithGridPoints(10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,7 +557,7 @@ func BenchmarkAdaptiveAnalyzeReference(b *testing.B) {
 	s := adaptiveBenchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adaptive.AnalyzeReference(s, adaptive.Config{GridPoints: 10}); err != nil {
+		if _, err := adaptive.AnalyzeReference(s, adaptive.Config{}, core.Options{}, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

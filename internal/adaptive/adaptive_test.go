@@ -1,8 +1,6 @@
 package adaptive
 
 import (
-	"context"
-
 	"errors"
 	"testing"
 
@@ -89,72 +87,6 @@ func TestSegmentsEmpty(t *testing.T) {
 	}
 }
 
-func TestAnalyzeTwoMode(t *testing.T) {
-	s := twoModeStream(t)
-	a, err := Analyze(context.Background(), s, Config{Bins: 80, GridPoints: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.TwoMode {
-		t.Fatal("two-mode not detected")
-	}
-	if a.GlobalGamma <= 0 {
-		t.Fatalf("global gamma = %d", a.GlobalGamma)
-	}
-	if a.MinGamma > a.GlobalGamma {
-		t.Fatalf("min gamma %d exceeds global %d", a.MinGamma, a.GlobalGamma)
-	}
-	// Paper's motivation: the high-activity mode needs a smaller scale
-	// than the low-activity mode.
-	var hiGamma, loGamma int64
-	for _, seg := range a.Segments {
-		if seg.Gamma == 0 {
-			continue
-		}
-		if seg.HighActivity && (hiGamma == 0 || seg.Gamma < hiGamma) {
-			hiGamma = seg.Gamma
-		}
-		if !seg.HighActivity && seg.Gamma > loGamma {
-			loGamma = seg.Gamma
-		}
-	}
-	if hiGamma == 0 {
-		t.Fatalf("no analysed high-activity segment: %+v", a.Segments)
-	}
-	if loGamma > 0 && hiGamma >= loGamma {
-		t.Fatalf("high-activity gamma %d should be below low-activity gamma %d", hiGamma, loGamma)
-	}
-}
-
-func TestAnalyzeHomogeneousMatchesGlobal(t *testing.T) {
-	s, err := synth.TimeUniform(synth.TimeUniformConfig{
-		Nodes: 10, LinksPerPair: 8, T: 10_000, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(context.Background(), s, Config{GridPoints: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TwoMode {
-		t.Fatal("uniform stream misclassified")
-	}
-	if len(a.Segments) != 1 {
-		t.Fatalf("segments = %d", len(a.Segments))
-	}
-	// The single segment covers the whole stream, so its gamma should
-	// be close to the global one (grids differ slightly at endpoints).
-	seg := a.Segments[0].Gamma
-	if seg == 0 {
-		t.Fatal("segment not analysed")
-	}
-	ratio := float64(seg) / float64(a.GlobalGamma)
-	if ratio < 0.4 || ratio > 2.5 {
-		t.Fatalf("segment gamma %d too far from global %d", seg, a.GlobalGamma)
-	}
-}
-
 func TestTwoMeans(t *testing.T) {
 	lo, hi, assign := twoMeans([]float64{1, 1, 1, 10, 10, 11})
 	if lo > 2 || hi < 9 {
@@ -170,11 +102,11 @@ func TestTwoMeans(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Bins != 100 || c.MinRunBins != 2 || c.GridPoints != 24 || c.SeparationFactor != 3 {
+	if c.Bins != 100 || c.MinRunBins != 2 || c.SeparationFactor != 3 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	c2 := Config{Bins: 5, MinRunBins: 1, GridPoints: 8, SeparationFactor: 2}.withDefaults()
-	if c2.Bins != 5 || c2.MinRunBins != 1 || c2.GridPoints != 8 || c2.SeparationFactor != 2 {
+	c2 := Config{Bins: 5, MinRunBins: 1, SeparationFactor: 2}.withDefaults()
+	if c2.Bins != 5 || c2.MinRunBins != 1 || c2.SeparationFactor != 2 {
 		t.Fatalf("overrides lost: %+v", c2)
 	}
 }

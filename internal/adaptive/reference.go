@@ -9,24 +9,28 @@ import (
 	"repro/internal/linkstream"
 )
 
-// AnalyzeReference is the retained per-segment implementation of
-// Analyze: one full core.SaturationScale pass over the whole stream
-// plus one pass per sufficiently populated segment, each slicing and
+// AnalyzeReference is the reference implementation of the adaptive
+// analysis that repro.WithAdaptive plans are tested against: one full
+// core.SaturationScale pass over the whole stream plus one pass per
+// segment of at least MinSegmentEvents events, each slicing and
 // re-canonicalising its own copy of the events and spinning its own
-// engine. It computes exactly what Analyze computes — the equivalence
-// tests pin the two bit for bit — at the cost of one engine pass per
-// segment instead of one per analysis round.
-func AnalyzeReference(s *linkstream.Stream, cfg Config) (*Analysis, error) {
-	cfg = cfg.withDefaults()
+// engine. opt carries the execution settings of every pass; its Grid
+// is ignored. Each pass derives a logarithmic grid of gridPoints
+// points (DefaultGridPoints when <= 0): the global one from minDelta
+// (the stream's resolution when <= 0), each segment's from its own
+// resolution, up to the pass's own span.
+func AnalyzeReference(s *linkstream.Stream, cfg Config, opt core.Options, gridPoints int, minDelta int64) (*Analysis, error) {
 	segs, twoMode, err := Segments(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	lo := cfg.MinDelta
-	if lo <= 0 {
-		lo = s.Resolution()
+	if gridPoints <= 0 {
+		gridPoints = DefaultGridPoints
 	}
-	opt := cfg.coreOptions(core.LogGrid(lo, s.Duration(), cfg.GridPoints))
+	if minDelta <= 0 {
+		minDelta = s.Resolution()
+	}
+	opt.Grid = core.LogGrid(minDelta, s.Duration(), gridPoints)
 	global, err := core.SaturationScale(context.Background(), s, opt)
 	if err != nil {
 		return nil, err
@@ -36,11 +40,11 @@ func AnalyzeReference(s *linkstream.Stream, cfg Config) (*Analysis, error) {
 	for i := range a.Segments {
 		seg := &a.Segments[i]
 		sub := s.SliceTime(seg.Start, seg.End)
-		if sub.NumEvents() < minSegmentEvents {
+		if sub.NumEvents() < MinSegmentEvents {
 			continue
 		}
-		segOpt := cfg.coreOptions(core.LogGrid(sub.Resolution(), sub.Duration(), cfg.GridPoints))
-		res, err := core.SaturationScale(context.Background(), sub, segOpt)
+		opt.Grid = core.LogGrid(sub.Resolution(), sub.Duration(), gridPoints)
+		res, err := core.SaturationScale(context.Background(), sub, opt)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: segment [%d,%d): %w", seg.Start, seg.End, err)
 		}

@@ -212,8 +212,8 @@ func sortedEvents(s *linkstream.Stream, directed bool) []linkstream.Event {
 // OccupancyObserver is the occupancy method as a sweep-engine observer:
 // it scores every period's occupancy distribution (exact sample or
 // streamed histogram) with the configured selectors. Register it with
-// sweep.Run — or repro.MultiSweep — to fuse the occupancy curve with
-// other metrics in one pass.
+// sweep.Run — or a repro plan's WithObservers — to fuse the occupancy
+// curve with other metrics in one pass.
 type OccupancyObserver struct {
 	sels   []dist.Selector
 	points []SweepPoint
@@ -244,8 +244,8 @@ func (o *OccupancyObserver) ObservePeriod(p *sweep.Period) error {
 	if p.Histogram != nil {
 		// The histogram backend only approximates the M-K score; reject
 		// other selectors here too, so the engine-level entry points
-		// (sweep.Run, repro.MultiSweep) cannot silently fill their
-		// slots with the wrong score.
+		// (sweep.Run, a repro plan's WithObservers) cannot silently fill
+		// their slots with the wrong score.
 		for _, sel := range o.sels {
 			if _, ok := sel.(dist.MKProximitySelector); !ok {
 				return fmt.Errorf("core: selector %s does not support the histogram backend", sel.Name())

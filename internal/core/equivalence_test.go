@@ -84,9 +84,9 @@ func TestSweepMatchesReference(t *testing.T) {
 }
 
 // TestHistogramRejectsNonMKViaEngine pins the observer-level guard:
-// driving the engine directly (as repro.MultiSweep does) with the
-// histogram backend and a non-M-K selector must fail rather than
-// silently fill every slot with the M-K score.
+// driving the engine directly (as a repro plan's WithObservers does)
+// with the histogram backend and a non-M-K selector must fail rather
+// than silently fill every slot with the M-K score.
 func TestHistogramRejectsNonMKViaEngine(t *testing.T) {
 	s := mixedStream(t, 5, 2, 500, 9)
 	obs := NewOccupancyObserver(dist.AllSelectors())

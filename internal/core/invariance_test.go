@@ -242,3 +242,38 @@ func TestDuplicateEventsInvariance(t *testing.T) {
 		}
 	}
 }
+
+// Property: an undirected analysis is the directed analysis of the
+// symmetrised stream — every event (u, v, t) joined by its mirror
+// (v, u, t) — because an undirected snapshot edge is usable both ways.
+// The whole Result agrees, refinement included.
+func TestUndirectedEqualsDirectedSymmetrised(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSmallStream(rng)
+		if s.NumEvents() == 0 {
+			continue
+		}
+		sym, err := rebuild(s, func(out *linkstream.Stream, e linkstream.Event) error {
+			if err := out.AddID(e.U, e.V, e.T); err != nil {
+				return err
+			}
+			return out.AddID(e.V, e.U, e.T)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := LogGrid(1, s.Duration(), 10)
+		a, err := SaturationScale(context.Background(), s, Options{Workers: 1, Grid: grid, Refine: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SaturationScale(context.Background(), sym, Options{Directed: true, Workers: 1, Grid: grid, Refine: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed=%d: directed run on the symmetrised stream diverged:\n got %+v\nwant %+v", seed, b, a)
+		}
+	}
+}

@@ -4,14 +4,12 @@ package core
 // occupancy method: SaturationScale's sweep-then-refine loop factored
 // into a resumable state machine (ScaleSearch) whose engine passes are
 // supplied by the caller. A single search is SaturationScaleWith; many
-// concurrent searches — one per activity segment, as internal/adaptive
-// runs them — batch the requests of each round into one fused
-// sweep.RunWindowed pass, so every segment's grid flows through one
-// engine pipeline under the shared MaxInFlight bound. Batched searches
-// whose windows and candidate periods coincide (a homogeneous stream's
-// single segment against the global search) are deduplicated by the
-// engine itself: one (window, ∆) CSR build serves every search that
-// requested it, bit-identically.
+// concurrent searches batch the requests of each round into one fused
+// engine pass (NextGrid/AbsorbPoints), so every scope's grid flows
+// through one engine pipeline under the shared MaxInFlight bound.
+// Batched searches whose windows and candidate periods coincide are
+// deduplicated by the engine itself: one (window, ∆) CSR build serves
+// every search that requested it, bit-identically.
 
 import (
 	"context"
@@ -195,10 +193,9 @@ func (sc *ScaleSearch) Result() (Result, error) {
 // search through a caller-supplied engine pass: every grid the search
 // stages is handed to run together with the observer that scores it.
 // SaturationScale is SaturationScaleWith over a plain sweep.Run;
-// callers fusing several analyses into shared engine passes
-// (internal/adaptive) drive the ScaleSearch protocol directly and batch
-// the requests of concurrent searches into single sweep.RunWindowed
-// invocations.
+// callers fusing several analyses into shared engine passes drive the
+// ScaleSearch protocol directly and batch the grids of concurrent
+// searches into single windowed engine passes.
 func SaturationScaleWith(ctx context.Context, opt Options, run SweepRunner) (Result, error) {
 	sc, err := NewScaleSearch(opt)
 	if err != nil {

@@ -7,18 +7,15 @@ package sweep
 // segment by binary search (zero-copy sub-slices of the shared buffer),
 // and pipelines every (segment, ∆) period through the one bounded
 // in-flight scheduler and worker pool; finalize routes each period's
-// products to the owning segment's observers. This is what lets the
-// adaptive multi-segment analysis (internal/adaptive) run the global
-// sweep and every per-segment sweep in a single engine pass instead of
-// one core.SaturationScale pass per segment.
+// products to the owning segment's observers.
 //
 // Coinciding work is deduplicated at two levels. Segments whose event
 // windows coincide share one raw-stream trip enumeration (one stream
 // CSR, one blocked sweep, every consumer fed from it), and (window, ∆)
-// period jobs that coincide across segments — e.g. a homogeneous
-// stream's single activity segment versus the global scope — build one
-// CSR and run one backward sweep whose products fan out to every
-// requesting segment. DedupCount and StreamBuildCount instrument both.
+// period jobs that coincide across segments — e.g. a window spanning
+// the whole stream versus the global scope — build one CSR and run one
+// backward sweep whose products fan out to every requesting segment.
+// DedupCount and StreamBuildCount instrument both.
 
 import (
 	"context"

@@ -3,11 +3,8 @@ package repro
 // This file defines the functional options of the plan/run lifecycle:
 // repro.NewAnalysis(stream, ...Option) freezes them into an immutable
 // Plan, Plan.Run(ctx) executes the plan as fused sweep-engine passes.
-// Every knob the deprecated entry points spread over per-package option
-// structs (core.Options, classic.Options, validate.Options,
-// adaptive.Config, sweep.Options) maps onto exactly one Option here, so
-// any combination of metrics, windows and policies composes in a single
-// request.
+// Each knob of an analysis is exactly one Option, so any combination of
+// metrics, windows and policies composes in a single request.
 
 import (
 	"fmt"
@@ -114,8 +111,8 @@ type Window struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
 	// Grid is the window's candidate aggregation periods; empty derives
-	// a logarithmic grid from the window's own resolution and span,
-	// like the adaptive per-segment analysis does.
+	// a logarithmic grid of WithGridPoints points from the window's own
+	// resolution to its own span.
 	Grid []int64 `json:"grid,omitempty"`
 }
 
@@ -227,7 +224,8 @@ func WithGrid(grid ...int64) Option {
 
 // WithGridPoints sets the resolution of derived candidate grids (the
 // default logarithmic grid, window grids, adaptive segment grids);
-// <= 0 selects the entry point's default.
+// <= 0 selects the default: DefaultGridPoints (48) points, or 24 for
+// adaptive plans.
 func WithGridPoints(points int) Option {
 	return func(c *planConfig) error {
 		c.gridPoints = points
@@ -336,10 +334,10 @@ func WithObservers(observers ...SweepObserver) Option {
 	}
 }
 
-// WithSegments registers raw windowed observer sets (the
-// MultiSweepWindowed unit of registration) to run in the plan's engine
-// pass, for callers that need full control over per-window grids and
-// observers. Most callers want WithWindows instead.
+// WithSegments registers raw windowed observer sets to run in the
+// plan's engine pass, for callers that need full control over
+// per-window grids and observers. Most callers want WithWindows
+// instead.
 func WithSegments(segments ...SegmentObserver) Option {
 	return func(c *planConfig) error {
 		c.segments = append(c.segments, segments...)
@@ -349,10 +347,12 @@ func WithSegments(segments ...SegmentObserver) Option {
 
 // WithAdaptive runs the activity-segmented analysis of the paper's
 // conclusion: the stream is split into high- and low-activity segments
-// and a saturation scale is determined for the whole stream and every
-// sufficiently populated segment, all through fused engine passes
-// (Report.Adaptive holds the outcome). Only the segmentation fields of
-// cfg (Bins, MinRunBins, SeparationFactor) are read; the execution
+// by the segmentation policy cfg, and a saturation scale is determined
+// for the whole stream and for every segment of at least 50 events
+// (Report.Adaptive holds the outcome). The global analysis and each
+// segment's are scopes of the plan's round driver, fused into one
+// engine pass per round like windows are; the plan's other metrics and
+// custom observers attach to the global scope only. The execution
 // knobs — orientation, workers, selectors, refinement, grids, budgets
 // — come from the plan's own options (WithDirected, WithWorkers,
 // WithSelectors, WithRefine, WithGridPoints, WithMinDelta,
@@ -360,12 +360,7 @@ func WithSegments(segments ...SegmentObserver) Option {
 // never matters.
 func WithAdaptive(cfg AdaptiveConfig) Option {
 	return func(c *planConfig) error {
-		frozen := AdaptiveConfig{
-			Bins:             cfg.Bins,
-			MinRunBins:       cfg.MinRunBins,
-			SeparationFactor: cfg.SeparationFactor,
-		}
-		c.adaptive = &frozen
+		c.adaptive = &cfg
 		return nil
 	}
 }

@@ -2,8 +2,7 @@ package repro
 
 // This file defines the typed Report a Plan.Run returns: one immutable
 // result object with per-metric and per-window accessors plus the
-// engine instrumentation of the run, replacing the per-entry-point
-// result shapes of the deprecated API.
+// engine instrumentation of the run.
 
 import "repro/internal/metrics"
 

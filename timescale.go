@@ -44,11 +44,6 @@
 // milestones (periods scored, trip enumerations, per-pass counters)
 // while the plan runs.
 //
-// The former entry points — SaturationScale, Sweep, MultiSweep,
-// MultiSweepWindowed, ClassicProperties, TransitionLoss, Elongation,
-// AnalyzeAdaptive — remain as deprecated thin wrappers over a Plan,
-// pinned bit-exact by equivalence tests.
-//
 // # The sweep engine and observers
 //
 // Every per-∆ analysis in the paper shares one shape: aggregate the
@@ -63,15 +58,16 @@
 // (NewOccupancyObserver), the classical Figure 2 properties
 // (NewClassicObserver), the Section 8 validation curves
 // (NewTransitionLossObserver, NewElongationObserver) and the distance
-// curves (NewDistanceObserver) are all such observers; MultiSweep runs
-// any combination of them — or custom ones — in one fused pass, so a
-// new metric is a ~50-line observer rather than a new sweep loop. The
-// snapshot metrics (internal/metrics: degree, clustering, components,
-// coreness, weighted aggregation) ride two further lanes of the same
-// build — SweepNeeds.Snapshots hands ObservePeriod the period's layer
-// arena itself, and SweepNeeds.EdgeWeights its per-edge contact
-// counts — so scoring the structure of G∆ adds no pass and no build
-// either; docs/ARCHITECTURE.md walks through writing one.
+// curves (NewDistanceObserver) are all such observers; a plan's
+// WithObservers runs any combination of them — or custom ones — in one
+// fused pass, so a new metric is a ~50-line observer rather than a new
+// sweep loop. The snapshot metrics (internal/metrics: degree,
+// clustering, components, coreness, weighted aggregation) ride two
+// further lanes of the same build — SweepNeeds.Snapshots hands
+// ObservePeriod the period's layer arena itself, and
+// SweepNeeds.EdgeWeights its per-edge contact counts — so scoring the
+// structure of G∆ adds no pass and no build either;
+// docs/ARCHITECTURE.md walks through writing one.
 //
 // Period scheduling is a bounded in-flight pipeline. At most
 // Options.MaxInFlight periods are resident at once (layer arena plus
@@ -231,19 +227,6 @@ import (
 	"repro/internal/validate"
 )
 
-// optionsFromCore maps the legacy Options struct onto plan options
-// (minus the grid, which each wrapper handles explicitly).
-func optionsFromCore(opt Options) []Option {
-	return []Option{
-		WithDirected(opt.Directed),
-		WithWorkers(opt.Workers),
-		WithSelectors(opt.Selectors...),
-		WithRefine(opt.Refine),
-		WithHistogramBins(opt.HistogramBins),
-		WithMaxInFlight(opt.MaxInFlight),
-	}
-}
-
 // Stream is a link stream: a finite collection of (u, v, t) events over
 // an interned node set. See NewStream.
 type Stream = linkstream.Stream
@@ -276,53 +259,11 @@ type Trip = temporal.Trip
 // NewStream returns an empty link stream.
 func NewStream() *Stream { return linkstream.New() }
 
-// SaturationScale runs the occupancy method on the stream and returns
-// its saturation scale γ together with the score curve.
-//
-// Deprecated: build a Plan instead — NewAnalysis(s, ...) followed by
-// Plan.Run(ctx) — which adds cancellation, progress streaming and
-// fused extra metrics. This wrapper is a Plan with the options of opt
-// and remains bit-exact with it.
-func SaturationScale(s *Stream, opt Options) (Result, error) {
-	opts := optionsFromCore(opt)
-	if len(opt.Grid) > 0 {
-		opts = append(opts, WithGrid(opt.Grid...))
-	}
-	plan, err := NewAnalysis(s, opts...)
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return Result{}, err
-	}
-	res, _ := rep.Scale()
-	return res, nil
-}
-
 // OccupancyDistribution aggregates the stream at period delta and
 // returns the distribution of occupancy rates of the minimal trips of
 // the aggregated series.
 func OccupancyDistribution(s *Stream, delta int64, opt Options) (*Sample, error) {
 	return core.OccupancySample(s, delta, opt)
-}
-
-// Sweep scores every candidate period with the selectors in opt.
-//
-// Deprecated: use NewAnalysis(s, WithGrid(grid...), ...) and read
-// Report.Occupancy from Plan.Run. This wrapper is that plan (without
-// refinement, like Sweep always was) and remains bit-exact with it.
-func Sweep(s *Stream, grid []int64, opt Options) ([]SweepPoint, error) {
-	opt.Refine = 0
-	plan, err := NewAnalysis(s, append(optionsFromCore(opt), WithGrid(grid...))...)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Occupancy(), nil
 }
 
 // Aggregate builds the graph series G∆ from the stream (Definition 1 of
@@ -390,130 +331,27 @@ func AllSelectors() []Selector { return dist.AllSelectors() }
 // at one aggregation period.
 type ClassicPoint = classic.Point
 
-// ClassicProperties computes density, connectedness and distance
-// properties of the aggregated series across the candidate grid.
-//
-// Deprecated: use NewAnalysis(s, WithMetrics(MetricClassic),
-// WithGrid(grid...), ...) and read Report.Classic from Plan.Run. This
-// wrapper is that plan and remains bit-exact with it.
-func ClassicProperties(s *Stream, grid []int64, directed bool, workers int) ([]ClassicPoint, error) {
-	plan, err := NewAnalysis(s, WithMetrics(MetricClassic), WithGrid(grid...),
-		WithDirected(directed), WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Classic(), nil
-}
-
 // LossPoint is the proportion of shortest transitions lost at one
 // period (Section 8).
 type LossPoint = validate.LossPoint
-
-// TransitionLoss computes the proportion of the stream's shortest
-// transitions that collapse inside one aggregation window, per period.
-//
-// Deprecated: use NewAnalysis(s, WithMetrics(MetricTransitionLoss),
-// WithGrid(grid...), ...) and read Report.TransitionLoss from
-// Plan.Run. This wrapper is that plan and remains bit-exact with it.
-func TransitionLoss(s *Stream, grid []int64, directed bool, workers int) ([]LossPoint, error) {
-	plan, err := NewAnalysis(s, WithMetrics(MetricTransitionLoss), WithGrid(grid...),
-		WithDirected(directed), WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.TransitionLoss(), nil
-}
 
 // ElongationPoint is the mean elongation factor at one period
 // (Section 8, Definition 8).
 type ElongationPoint = validate.ElongationPoint
 
-// Elongation computes the mean elongation factor of the minimal trips
-// of the aggregated series versus the raw stream, per period.
-//
-// Deprecated: use NewAnalysis(s, WithMetrics(MetricElongation),
-// WithGrid(grid...), ...) and read Report.Elongation from Plan.Run.
-// This wrapper is that plan and remains bit-exact with it.
-func Elongation(s *Stream, grid []int64, directed bool, workers int) ([]ElongationPoint, error) {
-	plan, err := NewAnalysis(s, WithMetrics(MetricElongation), WithGrid(grid...),
-		WithDirected(directed), WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Elongation(), nil
-}
-
-// AdaptiveConfig configures the activity-segmented analysis (the
-// extension proposed in the paper's conclusion).
+// AdaptiveConfig is the segmentation policy of the activity-segmented
+// analysis (the extension proposed in the paper's conclusion); see
+// WithAdaptive.
 type AdaptiveConfig = adaptive.Config
 
-// AdaptiveAnalysis is the outcome of AnalyzeAdaptive.
+// AdaptiveAnalysis is the outcome of an adaptive plan (Report.Adaptive).
 type AdaptiveAnalysis = adaptive.Analysis
 
 // AdaptiveSegment is one activity segment of an AdaptiveAnalysis.
 type AdaptiveSegment = adaptive.Segment
 
-// AnalyzeAdaptive separates high- and low-activity periods of the
-// stream and determines a saturation scale for each part independently,
-// as the paper's conclusion proposes for strongly heterogeneous
-// streams. The global sweep and every per-segment sweep run as one
-// fused engine pass per analysis round — the stream is sorted once and
-// each (segment, ∆) arena is built exactly once, no matter how many
-// segments the stream splits into.
-//
-// Deprecated: use NewAnalysis(s, WithAdaptive(cfg)) and read
-// Report.Adaptive from Plan.Run. This wrapper is that plan and remains
-// bit-exact with it.
-func AnalyzeAdaptive(s *Stream, cfg AdaptiveConfig) (*AdaptiveAnalysis, error) {
-	return AnalyzeAdaptiveWith(s, cfg)
-}
-
-// AnalyzeAdaptiveWith is AnalyzeAdaptive with extra observers attached
-// to the global scope's initial engine pass: they receive the whole
-// stream's view and every period of the global candidate grid from the
-// same pass that prices the global scale.
-//
-// Deprecated: use NewAnalysis(s, WithAdaptive(cfg),
-// WithObservers(global...)) and read Report.Adaptive from Plan.Run.
-// This wrapper is that plan — cfg's execution fields mapped onto the
-// matching plan options, since WithAdaptive reads only the
-// segmentation knobs — and remains bit-exact with it.
-func AnalyzeAdaptiveWith(s *Stream, cfg AdaptiveConfig, global ...SweepObserver) (*AdaptiveAnalysis, error) {
-	plan, err := NewAnalysis(s,
-		WithAdaptive(cfg),
-		WithDirected(cfg.Directed),
-		WithWorkers(cfg.Workers),
-		WithMaxInFlight(cfg.MaxInFlight),
-		WithSelectors(cfg.Selectors...),
-		WithRefine(cfg.Refine),
-		WithGridPoints(cfg.GridPoints),
-		WithMinDelta(cfg.MinDelta),
-		WithObservers(global...),
-	)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return rep.Adaptive(), nil
-}
-
 // SweepObserver consumes the products of a unified sweep-engine run;
-// see MultiSweep.
+// see WithObservers.
 type SweepObserver = sweep.Observer
 
 // SweepNeeds declares which engine products an observer consumes.
@@ -542,83 +380,11 @@ type SweepTripShard = sweep.TripShard
 // sharded across the engine's worker pool (SweepNeeds.TripShards).
 type SweepShardedTripObserver = sweep.ShardedTripObserver
 
-// SweepEngineOptions configures a MultiSweep run, including the
-// MaxInFlight bound on resident periods.
-type SweepEngineOptions = sweep.Options
-
-// MultiSweep runs the unified sweep engine over the candidate grid,
-// fanning every period's products to the registered observers in one
-// pass: the stream is sorted once, each period's layer arena is built
-// and swept exactly once, and at most opt.MaxInFlight periods are
-// resident at any moment. Use the New*Observer constructors for the
-// built-in metrics, or implement SweepObserver for custom ones.
-//
-// Deprecated: use NewAnalysis(s, WithGrid(grid...), WithMetrics(),
-// WithObservers(observers...)) and Plan.Run, which adds cancellation
-// and a typed Report. This wrapper is that plan and remains bit-exact
-// with it.
-func MultiSweep(s *Stream, grid []int64, opt SweepEngineOptions, observers ...SweepObserver) error {
-	plan, err := NewAnalysis(s,
-		WithMetrics(),
-		WithGrid(grid...),
-		WithDirected(opt.Directed),
-		WithWorkers(opt.Workers),
-		WithMaxInFlight(opt.MaxInFlight),
-		WithHistogramBins(opt.HistogramBins),
-		WithProgress(opt.Progress),
-		WithObservers(observers...),
-	)
-	if err != nil {
-		return err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	if opt.Stats != nil {
-		opt.Stats.Add(rep.EngineStats())
-	}
-	return nil
-}
-
 // SegmentObserver scopes a set of observers to one time window of the
 // stream with its own candidate grid — the unit of windowed observer
-// registration for MultiSweepWindowed. A Start >= End window (the zero
-// value) selects the whole stream.
+// registration for WithSegments. A Start >= End window (the zero value)
+// selects the whole stream.
 type SegmentObserver = sweep.SegmentObserver
-
-// MultiSweepWindowed runs one engine pass serving several time windows
-// at once: each SegmentObserver's observers see exactly what a
-// MultiSweep over the window's sub-stream would hand them, while the
-// sort/canonicalise work, the worker pool and the MaxInFlight bound are
-// shared by every window.
-//
-// Deprecated: use NewAnalysis(s, WithMetrics(),
-// WithSegments(segments...)) and Plan.Run — or WithWindows for the
-// common per-window metric case. This wrapper is that plan and remains
-// bit-exact with it.
-func MultiSweepWindowed(s *Stream, opt SweepEngineOptions, segments ...SegmentObserver) error {
-	plan, err := NewAnalysis(s,
-		WithMetrics(),
-		WithDirected(opt.Directed),
-		WithWorkers(opt.Workers),
-		WithMaxInFlight(opt.MaxInFlight),
-		WithHistogramBins(opt.HistogramBins),
-		WithProgress(opt.Progress),
-		WithSegments(segments...),
-	)
-	if err != nil {
-		return err
-	}
-	rep, err := plan.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	if opt.Stats != nil {
-		opt.Stats.Add(rep.EngineStats())
-	}
-	return nil
-}
 
 // SweepRunner executes one engine pass for SaturationScaleWith: score
 // every period of grid with obs.
@@ -640,7 +406,7 @@ func SaturationScaleWith(opt Options, run SweepRunner) (Result, error) {
 }
 
 // OccupancyObserver scores per-period occupancy distributions (the
-// occupancy method) inside a MultiSweep.
+// occupancy method) in a plan's WithObservers.
 type OccupancyObserver = core.OccupancyObserver
 
 // NewOccupancyObserver returns an occupancy-method observer scoring
@@ -649,15 +415,15 @@ func NewOccupancyObserver(sels []Selector) *OccupancyObserver {
 	return core.NewOccupancyObserver(sels)
 }
 
-// ClassicObserver collects the Figure 2 classical properties inside a
-// MultiSweep.
+// ClassicObserver collects the Figure 2 classical properties in a
+// plan's WithObservers.
 type ClassicObserver = classic.Observer
 
 // NewClassicObserver returns a classical-properties observer.
 func NewClassicObserver() *ClassicObserver { return classic.NewObserver() }
 
 // TransitionLossObserver collects the Section 8 transition-loss curve
-// inside a MultiSweep.
+// in a plan's WithObservers.
 type TransitionLossObserver = validate.TransitionLossObserver
 
 // NewTransitionLossObserver returns a transition-loss observer.
@@ -665,8 +431,8 @@ func NewTransitionLossObserver() *TransitionLossObserver {
 	return validate.NewTransitionLossObserver()
 }
 
-// ElongationObserver collects the Section 8 elongation curve inside a
-// MultiSweep.
+// ElongationObserver collects the Section 8 elongation curve in a
+// plan's WithObservers.
 type ElongationObserver = validate.ElongationObserver
 
 // NewElongationObserver returns an elongation observer.
@@ -676,8 +442,9 @@ func NewElongationObserver() *ElongationObserver { return validate.NewElongation
 // bottom panels).
 type DistancePoint = sweep.DistancePoint
 
-// DistanceObserver collects the distance curves inside a MultiSweep,
-// from the same backward sweeps every other observer shares.
+// DistanceObserver collects the distance curves in a plan's
+// WithObservers, from the same backward sweeps every other observer
+// shares.
 type DistanceObserver = sweep.DistanceObserver
 
 // NewDistanceObserver returns a distance observer.

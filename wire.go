@@ -53,9 +53,9 @@ type InlineEvent struct {
 	T int64  `json:"t"`
 }
 
-// AdaptiveSpec is the wire form of WithAdaptive: the segmentation
-// policy fields of AdaptiveConfig (everything else of an adaptive run
-// comes from the spec's own knobs, exactly as with WithAdaptive).
+// AdaptiveSpec is the wire form of WithAdaptive's AdaptiveConfig, the
+// segmentation policy (everything else of an adaptive run comes from
+// the spec's own knobs, exactly as with WithAdaptive).
 type AdaptiveSpec struct {
 	Bins             int     `json:"bins,omitempty"`
 	MinRunBins       int     `json:"min_run_bins,omitempty"`
@@ -178,11 +178,7 @@ func (spec *PlanSpec) Options() ([]Option, error) {
 		opts = append(opts, WithWindowsOnly())
 	}
 	if spec.Adaptive != nil {
-		opts = append(opts, WithAdaptive(AdaptiveConfig{
-			Bins:             spec.Adaptive.Bins,
-			MinRunBins:       spec.Adaptive.MinRunBins,
-			SeparationFactor: spec.Adaptive.SeparationFactor,
-		}))
+		opts = append(opts, WithAdaptive(AdaptiveConfig(*spec.Adaptive)))
 	}
 	if spec.Workers != 0 {
 		opts = append(opts, WithWorkers(spec.Workers))
