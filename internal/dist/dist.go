@@ -19,11 +19,15 @@ var ErrEmptySample = errors.New("dist: empty sample")
 
 // Sample is an empirical distribution of occupancy rates, stored as
 // sorted distinct values with multiplicities. Occupancy populations are
-// huge but take few distinct values (hops/duration ratios), so counting
-// duplicates first and sorting only the distinct values is much faster
-// than sorting the raw multiset — the raw sort dominated whole-sweep
-// profiles before. All scoring methods assume the support is [0,1],
-// which holds for occupancy rates by Definition 7.
+// huge and at coarse periods take few distinct values (hops/duration
+// ratios), so counting duplicates first and sorting only the distinct
+// values is much faster than sorting the raw multiset — the raw sort
+// dominated whole-sweep profiles before. Small-∆ periods are far more
+// diverse: at ∆ = 1 on the paper-batch benchmark stream, 1.06M of 2.05M
+// values are distinct, so the counter grows and the sort of distinct
+// values still does real work. Values are keyed by value, not by bit
+// pattern (-0 and +0 are one value). All scoring methods assume the
+// support is [0,1], which holds for occupancy rates by Definition 7.
 type Sample struct {
 	values []float64 // sorted distinct values
 	cum    []int64   // cum[i] = number of sample points <= values[i]
@@ -52,29 +56,33 @@ func NewSampleFromChunks(total int, chunks [][]float64) (*Sample, error) {
 	}
 	m := newF64Counter()
 	const expMask = 0x7FF0000000000000
+	const negZero = 1 << 63
 	for _, values := range chunks {
 		for _, v := range values {
 			k := math.Float64bits(v)
 			if k&expMask == expMask { // NaN or Inf: exponent all ones
 				return nil, errors.New("dist: non-finite sample value")
 			}
+			if k == negZero { // a Sample is keyed by value: -0 counts as +0
+				k = 0
+			}
 			m.add(k)
 		}
 	}
+	// The counter's keys are the distinct values; sorting them alone and
+	// reading each count back from the counter keeps every ascending
+	// accumulation (cum, sum) in the order a full sort would give.
 	s := &Sample{values: make([]float64, 0, m.used), n: int64(total)}
-	counts := make(map[float64]int64, m.used)
 	for i, c := range m.cnts {
 		if c != 0 {
-			v := math.Float64frombits(m.keys[i])
-			s.values = append(s.values, v)
-			counts[v] = c
+			s.values = append(s.values, math.Float64frombits(m.keys[i]))
 		}
 	}
 	sort.Float64s(s.values)
 	s.cum = make([]int64, len(s.values))
 	var cum int64
 	for i, v := range s.values {
-		c := counts[v]
+		c := m.count(math.Float64bits(v))
 		cum += c
 		s.cum[i] = cum
 		s.sum += v * float64(c)
@@ -89,9 +97,10 @@ type f64Counter struct {
 	used int
 }
 
-// newF64Counter starts deliberately small: occupancy populations have
-// few distinct values, and a small table stays cache-resident through
-// millions of adds. Diverse inputs pay a few amortised rehashes.
+// newF64Counter starts deliberately small: coarse-period occupancy
+// populations have few distinct values, and a small table stays
+// cache-resident through millions of adds. Diverse inputs (small-∆
+// periods) pay a few amortised rehashes.
 func newF64Counter() *f64Counter {
 	const size = 1024
 	return &f64Counter{keys: make([]uint64, size), cnts: make([]int64, size)}
@@ -116,6 +125,17 @@ func (m *f64Counter) add(key uint64) {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// count returns key's multiplicity, 0 if it was never added.
+func (m *f64Counter) count(key uint64) int64 {
+	mask := uint64(len(m.keys) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) & mask; m.cnts[i] != 0; i = (i + 1) & mask {
+		if m.keys[i] == key {
+			return m.cnts[i]
+		}
+	}
+	return 0
 }
 
 func (m *f64Counter) grow() {

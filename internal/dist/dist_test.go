@@ -28,6 +28,97 @@ func TestNewSampleErrors(t *testing.T) {
 	}
 }
 
+// TestSampleSignedZero pins that -0 and +0 are one value of the
+// sample: counted together, their multiplicity is the number of zeros.
+func TestSampleSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	s := mustSample(t, []float64{negZero, negZero, 0, 0.5})
+	if got := s.Values(); len(got) != 2 || got[0] != 0 || got[1] != 0.5 {
+		t.Fatalf("distinct values = %v, want [0 0.5]", got)
+	}
+	if got := s.CDF(0); got != 0.75 {
+		t.Fatalf("CDF(0) = %v, want 0.75 (zero has multiplicity 3)", got)
+	}
+	if got := s.CDF(1); got != 1 {
+		t.Fatalf("CDF(1) = %v, want 1", got)
+	}
+}
+
+// TestSampleHighDistinct builds a sample of over 2^17 distinct values,
+// with duplicates spread over several chunks so the counter rehashes
+// many times, and checks the distinct values, every CDF step and the
+// mean's bits against an oracle that sorts the raw multiset and
+// run-length counts it.
+func TestSampleHighDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const distinct = 1<<17 + 1000
+	var raw []float64
+	for i := 0; i < distinct; i++ {
+		v := rng.Float64()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			raw = append(raw, v)
+		}
+	}
+	raw = append(raw, 0, math.Copysign(0, -1), 0)
+	rng.Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
+	var chunks [][]float64
+	for rest := raw; len(rest) > 0; {
+		k := min(len(rest), 1+rng.Intn(len(raw)/4))
+		chunks = append(chunks, rest[:k])
+		rest = rest[k:]
+	}
+	s, err := NewSampleFromChunks(len(raw), chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sorted := append([]float64(nil), raw...)
+	sort.Float64s(sorted)
+	var values []float64
+	var cum []int64
+	sum := 0.0
+	for i := 0; i < len(sorted); {
+		j := i
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		values = append(values, sorted[i])
+		cum = append(cum, int64(j))
+		sum += sorted[i] * float64(j-i)
+		i = j
+	}
+	if len(values) <= 1<<17 {
+		t.Fatalf("oracle holds %d distinct values, want over 2^17", len(values))
+	}
+
+	got := s.Values()
+	if len(got) != len(values) {
+		t.Fatalf("%d distinct values, oracle %d", len(got), len(values))
+	}
+	n := float64(len(raw))
+	for i, v := range values {
+		if got[i] != v {
+			t.Fatalf("value %d = %v, oracle %v", i, got[i], v)
+		}
+		below := 0.0
+		if i > 0 {
+			below = float64(cum[i-1]) / n
+		}
+		if c := s.CDF(math.Nextafter(v, -1)); c != below {
+			t.Fatalf("CDF just below value %d = %v, oracle %v", i, c, below)
+		}
+		if c := s.CDF(v); c != float64(cum[i])/n {
+			t.Fatalf("CDF(value %d) = %v, oracle %v", i, c, float64(cum[i])/n)
+		}
+	}
+	if s.N() != len(raw) {
+		t.Fatalf("N = %d, want %d", s.N(), len(raw))
+	}
+	if got, want := math.Float64bits(s.Mean()), math.Float64bits(sum/n); got != want {
+		t.Fatalf("mean bits %#x, oracle %#x", got, want)
+	}
+}
+
 func TestSampleWeightedBasics(t *testing.T) {
 	// 4x 0.25, 2x 0.5, 1x 1.0 — stored as 3 distinct values.
 	s := mustSample(t, []float64{0.25, 0.5, 0.25, 1, 0.25, 0.5, 0.25})

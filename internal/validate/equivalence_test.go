@@ -97,7 +97,7 @@ func TestElongationMatchesReference(t *testing.T) {
 }
 
 // TestStreamingObserversMatchEagerObservers runs the streaming
-// observers (incremental pair index off trip runs, sharded period
+// observers (pair-span arena off trip runs, sharded period
 // scans) and the retained eager reference observers in the same fused
 // engine pass, across seeds × orientations × workers × in-flight
 // bounds, and requires bit-identical curves — the tentpole guarantee

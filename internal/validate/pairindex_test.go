@@ -1,8 +1,6 @@
 package validate
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/temporal"
@@ -99,65 +97,4 @@ func destRuns(n int, trips []temporal.Trip) (dests []int32, runs [][]temporal.Tr
 		runs = append(runs, out)
 	}
 	return dests, runs
-}
-
-// TestPairIndexBuilderMatchesEager feeds random per-destination runs to
-// the incremental builder and checks every pair's spans equal the eager
-// build's, in flat and map mode, including skipped destinations.
-func TestPairIndexBuilderMatchesEager(t *testing.T) {
-	for _, n := range []int{1, 5, 12, maxFlatPairNodes + 1} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		var trips []temporal.Trip
-		small := n
-		if small > 16 {
-			small = 16 // keep map-mode ids small but the table large
-		}
-		for u := 0; u < small; u++ {
-			for v := 0; v < small; v++ {
-				if u == v || rng.Intn(3) == 0 {
-					continue // leave some pairs (and destinations) empty
-				}
-				k := 1 + rng.Intn(4)
-				dep := int64(1000)
-				for i := 0; i < k; i++ {
-					dep -= int64(1 + rng.Intn(50))
-					trips = append(trips, temporal.Trip{
-						U: int32(u), V: int32(v),
-						Dep: dep, Arr: dep + int64(rng.Intn(20)),
-						Hops: int32(1 + rng.Intn(3)),
-					})
-				}
-			}
-		}
-		want := buildPairIndex(n, trips)
-
-		b := newPairIndexBuilder(n)
-		dests, runs := destRuns(n, trips)
-		for i := range dests {
-			b.addRun(dests[i], runs[i])
-		}
-		got := b.finish()
-
-		for u := 0; u < small; u++ {
-			for v := 0; v < small; v++ {
-				ws := want.pair(int32(u), int32(v))
-				gs := got.pair(int32(u), int32(v))
-				if len(ws) == 0 && len(gs) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(ws, gs) {
-					t.Fatalf("n=%d pair (%d,%d): builder spans %v != eager %v", n, u, v, gs, ws)
-				}
-			}
-		}
-		if want.offsets != nil {
-			if !reflect.DeepEqual(want.offsets, got.offsets) {
-				t.Fatalf("n=%d: builder offsets diverge from eager build", n)
-			}
-			if len(want.spans) != len(got.spans) ||
-				(len(want.spans) > 0 && !reflect.DeepEqual(want.spans, got.spans)) {
-				t.Fatalf("n=%d: builder arena diverges from eager build", n)
-			}
-		}
-	}
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/temporal"
@@ -84,7 +85,7 @@ func (a *spanArena) addRun(dest int32, run []temporal.Trip) error {
 			}
 			a.cnt[tr.U]++
 		}
-		sort.Slice(a.srcs, func(i, j int) bool { return a.srcs[i] < a.srcs[j] })
+		slices.Sort(a.srcs)
 		if cap(a.scratch) < len(run) {
 			a.scratch = make([]tripSpan, len(run))
 		}
@@ -98,7 +99,6 @@ func (a *spanArena) addRun(dest int32, run []temporal.Trip) error {
 			a.cnt[tr.U]--
 			a.scratch[a.pos[tr.U]+a.cnt[tr.U]] = tripSpan{dep: tr.Dep, arr: tr.Arr}
 		}
-		var vbuf [binary.MaxVarintLen64]byte
 		prevU := int32(-1)
 		for i, u := range a.srcs {
 			// The back-fill zeroed cnt; each source's count is implicit
@@ -115,22 +115,16 @@ func (a *spanArena) addRun(dest int32, run []temporal.Trip) error {
 					break
 				}
 			}
-			n := binary.PutUvarint(vbuf[:], uint64(u-prevU))
-			a.buf = append(a.buf, vbuf[:n]...)
+			a.buf = binary.AppendUvarint(a.buf, uint64(u-prevU))
 			prevU = u
-			n = binary.PutUvarint(vbuf[:], uint64(len(sp)))
-			a.buf = append(a.buf, vbuf[:n]...)
-			prevDep := int64(0)
+			a.buf = binary.AppendUvarint(a.buf, uint64(len(sp)))
 			for i, s := range sp {
 				if i == 0 {
-					n = binary.PutVarint(vbuf[:], s.dep)
+					a.buf = binary.AppendVarint(a.buf, s.dep)
 				} else {
-					n = binary.PutUvarint(vbuf[:], uint64(s.dep-prevDep))
+					a.buf = binary.AppendUvarint(a.buf, uint64(s.dep-sp[i-1].dep))
 				}
-				a.buf = append(a.buf, vbuf[:n]...)
-				prevDep = s.dep
-				n = binary.PutVarint(vbuf[:], s.arr-s.dep)
-				a.buf = append(a.buf, vbuf[:n]...)
+				a.buf = binary.AppendVarint(a.buf, s.arr-s.dep)
 			}
 		}
 	}
@@ -212,15 +206,27 @@ func (a *spanArena) readRegion(d int32, tmp []byte) ([]byte, []byte, error) {
 	return tmp, tmp, nil
 }
 
-// destSpans is one destination's decoded region: the sources with at
-// least one span (ascending), a prefix-offset table into the decoded
-// spans, and the spans themselves (dep-ascending per source — the
-// exact integers the flat pairIndex would hold for pair (src, dest)).
+// destSpans is one destination's decoded region: the spans
+// themselves (dep-ascending per source — the exact integers the flat
+// pairIndex would hold for pair (src, dest)) and a per-source slot
+// table locating each source's spans, so scoring looks a trip's source
+// up in O(1). The table is indexed by node id and stamped with a
+// decode epoch: a decode bumps the epoch and stamps only the region's
+// sources, so its set-up costs O(sources in the region), and entries
+// left by earlier regions (or earlier, larger arenas) read as absent.
 type destSpans struct {
-	srcs  []int32
-	offs  []int32
+	slots []srcSlot
+	epoch uint32
 	spans []tripSpan
 	raw   []byte // spill read buffer, reused across decodes
+}
+
+// srcSlot locates one source's spans, ds.spans[lo:hi]; it is valid
+// only while its epoch equals the scratch's. cur is where the source's
+// previous window query started.
+type srcSlot struct {
+	epoch       uint32
+	lo, hi, cur int32
 }
 
 // decodeDest decodes destination d's region into ds. Safe to call
@@ -232,13 +238,22 @@ func (a *spanArena) decodeDest(d int32, ds *destSpans) error {
 	if err != nil {
 		return err
 	}
-	ds.srcs = ds.srcs[:0]
-	ds.offs = ds.offs[:0]
+	if len(ds.slots) < int(a.n) {
+		// Fresh entries carry epoch 0, which no decode ever uses.
+		ds.slots = make([]srcSlot, a.n)
+	}
+	ds.epoch++
+	if ds.epoch == 0 {
+		// The epoch wrapped: entries from 2^32 decodes ago would read
+		// as current, so clear them all once.
+		clear(ds.slots)
+		ds.epoch = 1
+	}
 	ds.spans = ds.spans[:0]
 	u := int32(-1)
 	for len(region) > 0 {
 		du, n := binary.Uvarint(region)
-		if n <= 0 {
+		if n <= 0 || du == 0 || du > uint64(a.n-1-u) {
 			return fmt.Errorf("validate: pair-span arena: destination %d: corrupt source delta", d)
 		}
 		region = region[n:]
@@ -248,63 +263,74 @@ func (a *spanArena) decodeDest(d int32, ds *destSpans) error {
 			return fmt.Errorf("validate: pair-span arena: destination %d: corrupt span count", d)
 		}
 		region = region[n:]
-		ds.srcs = append(ds.srcs, u)
-		ds.offs = append(ds.offs, int32(len(ds.spans)))
-		prevDep := int64(0)
+		lo := int32(len(ds.spans))
+		dep := int64(0)
 		for i := uint64(0); i < c; i++ {
-			var dep int64
-			if i == 0 {
-				v, n := binary.Varint(region)
-				if n <= 0 {
-					return fmt.Errorf("validate: pair-span arena: destination %d: corrupt departure", d)
-				}
-				region = region[n:]
-				dep = v
-			} else {
-				v, n := binary.Uvarint(region)
-				if n <= 0 {
-					return fmt.Errorf("validate: pair-span arena: destination %d: corrupt departure delta", d)
-				}
-				region = region[n:]
-				dep = prevDep + int64(v)
+			v, n := binary.Uvarint(region)
+			if n <= 0 {
+				return fmt.Errorf("validate: pair-span arena: destination %d: corrupt departure", d)
 			}
-			dur, n := binary.Varint(region)
+			region = region[n:]
+			if i == 0 {
+				dep = unzigzag(v)
+			} else {
+				dep += int64(v)
+			}
+			dur, n := binary.Uvarint(region)
 			if n <= 0 {
 				return fmt.Errorf("validate: pair-span arena: destination %d: corrupt duration", d)
 			}
 			region = region[n:]
-			ds.spans = append(ds.spans, tripSpan{dep: dep, arr: dep + dur})
-			prevDep = dep
+			ds.spans = append(ds.spans, tripSpan{dep: dep, arr: dep + unzigzag(dur)})
 		}
+		hi := int32(len(ds.spans))
+		ds.slots[u] = srcSlot{epoch: ds.epoch, lo: lo, hi: hi, cur: hi}
 	}
-	ds.offs = append(ds.offs, int32(len(ds.spans)))
 	return nil
+}
+
+// unzigzag decodes a signed value written by binary.AppendVarint from
+// its uvarint form: binary.Varint's arithmetic without the call, which
+// the per-span decode loop would pay millions of times a period.
+func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
+
+// slot returns source u's slot in the decoded region; nil for a source
+// without spans, negative or out of range.
+func (ds *destSpans) slot(u int32) *srcSlot {
+	if uint32(u) >= uint32(len(ds.slots)) || ds.slots[u].epoch != ds.epoch {
+		return nil
+	}
+	return &ds.slots[u]
 }
 
 // minDurationWithin mirrors pairIndex.minDurationWithin over the
 // decoded region: smallest duration among source u's spans fully
-// inside [a, b], and whether one exists.
+// inside [a, b], and whether one exists. Instead of a binary search,
+// the first span departing at or after a is found by walking from
+// where u's previous query started: the engine delivers a lane's trips
+// in decreasing departure order, so per source the walk only moves
+// back and a period's queries cost O(spans) together. Any query order
+// gets the same answer.
 func (ds *destSpans) minDurationWithin(u int32, a, b int64) (int64, bool) {
-	// Binary search u among the region's sources.
-	lo, hi := 0, len(ds.srcs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ds.srcs[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(ds.srcs) || ds.srcs[lo] != u {
+	sl := ds.slot(u)
+	if sl == nil {
 		return -1, false
 	}
-	sp := ds.spans[ds.offs[lo]:ds.offs[lo+1]]
-	return minDurationIn(sp, a, b)
+	i := sl.cur
+	for i > sl.lo && ds.spans[i-1].dep >= a {
+		i--
+	}
+	for i < sl.hi && ds.spans[i].dep < a {
+		i++
+	}
+	sl.cur = i
+	return minDurationFrom(ds.spans[i:sl.hi], b)
 }
 
-// minDurationIn is the span-window query shared by the flat pair index
-// and the decoded arena regions: identical integer spans in, identical
-// result out — this is what pins the spill path bit-exact.
+// minDurationIn is the flat pair index's span-window query: a binary
+// search for the window start, then the scan the decoded arena regions
+// share (minDurationFrom). Identical integer spans in, identical result
+// out — this is what pins the spill path bit-exact.
 func minDurationIn(sp []tripSpan, a, b int64) (int64, bool) {
 	lo, hi := 0, len(sp)
 	for lo < hi {
@@ -315,8 +341,16 @@ func minDurationIn(sp []tripSpan, a, b int64) (int64, bool) {
 			hi = mid
 		}
 	}
+	return minDurationFrom(sp[lo:], b)
+}
+
+// minDurationFrom is the scan half of the window query: sp starts at
+// the first span departing at or after the window start, and the
+// result is the smallest duration among its leading spans that arrive
+// by b.
+func minDurationFrom(sp []tripSpan, b int64) (int64, bool) {
 	best := int64(-1)
-	for i := lo; i < len(sp) && sp[i].arr <= b; i++ {
+	for i := 0; i < len(sp) && sp[i].arr <= b; i++ {
 		d := sp[i].arr - sp[i].dep
 		if best < 0 || d < best {
 			best = d

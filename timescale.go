@@ -92,9 +92,9 @@
 // block of destinations is swept, so at most MaxInFlight destination
 // blocks of trips ever exist at once. The Section 8 validation
 // observers are built on it — the transition-loss observer keeps only
-// the two-hop spans, and the elongation observer merges each run into
-// an incremental pair index — with the eager implementations retained
-// as bit-exact references.
+// the two-hop spans, and the elongation observer encodes each run into
+// a delta-encoded pair-span arena — with the eager implementations
+// retained as bit-exact references.
 //
 // Per-period trip scans shard the same way: a SweepShardedTripObserver
 // (SweepNeeds.TripShards) receives one SweepTripShard per period, fed
