@@ -84,6 +84,40 @@ func TestOccupancySampleLimits(t *testing.T) {
 	}
 }
 
+// TestOccupancyChainScoresExactlyOne checks Definition 7's arithmetic
+// on a chain 0-1-...-59 whose link (i, i+1) is at time 10·i: at ∆ = 10
+// each link gets its own window, so every minimal trip crosses one link
+// per window and its hops equal its duration. hops/duration must be
+// exactly 1 for every trip (49/49 included), in both orientations.
+func TestOccupancyChainScoresExactlyOne(t *testing.T) {
+	const n = 60
+	s := linkstream.New()
+	s.EnsureNodes(n)
+	for i := 0; i+1 < n; i++ {
+		if err := s.AddID(int32(i), int32(i+1), int64(10*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		directed bool
+		trips    int
+	}{
+		{directed: false, trips: 1829},
+		{directed: true, trips: 1770},
+	} {
+		sample, err := OccupancySample(s, 10, Options{Directed: tc.directed, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sample.N() != tc.trips {
+			t.Fatalf("directed=%v: %d trips, want %d", tc.directed, sample.N(), tc.trips)
+		}
+		if got := sample.Values(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("directed=%v: occupancy values %v, want [1]", tc.directed, got)
+		}
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	empty := linkstream.New()
 	if _, err := Sweep(context.Background(), empty, []int64{1}, Options{}); !errors.Is(err, ErrNoEvents) {

@@ -37,7 +37,9 @@ func mixedStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream.
 // TestSweepMatchesReference asserts the engine-backed Sweep reproduces
 // the seed per-∆ implementation exactly — same trip counts, bit-equal
 // scores for all five selectors — on seeded workloads, directed and
-// undirected, across worker counts and in-flight bounds.
+// undirected, across worker counts and in-flight bounds. The reference
+// scores Trip.Occupancy() of every minimal trip, so this compares the
+// engine's occupancy arithmetic with Definition 7, not with itself.
 func TestSweepMatchesReference(t *testing.T) {
 	grids := [][]int64{
 		{1, 9, 77, 500, 3000},

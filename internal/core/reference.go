@@ -9,11 +9,14 @@ import (
 )
 
 // SweepReference is the seed implementation of Sweep: a sequential
-// per-∆ loop that aggregates, sweeps and scores one period at a time,
-// with none of the engine's fused scheduling. It is retained as the
-// behavioural reference — the equivalence tests assert the engine
-// reproduces it exactly, and the separate-passes benchmarks measure the
-// engine against it.
+// per-∆ loop that aggregates, enumerates every period's minimal trips
+// and scores one period at a time, with none of the engine's fused
+// scheduling. Each period's values are Trip.Occupancy() — hops over
+// duration in windows, by division, as Definition 7 states — over
+// temporal.CollectTripsCSR, not the engine's occupancy sink
+// (temporal.OccupanciesCSR), so the equivalence tests compare the
+// engine with the paper's definition rather than with itself. The
+// separate-passes benchmarks measure the engine against it.
 func SweepReference(s *linkstream.Stream, grid []int64, opt Options) ([]SweepPoint, error) {
 	if s.NumEvents() == 0 {
 		return nil, ErrNoEvents
@@ -32,7 +35,11 @@ func SweepReference(s *linkstream.Stream, grid []int64, opt Options) ([]SweepPoi
 			return nil, fmt.Errorf("core: non-positive aggregation period %d", delta)
 		}
 		c := temporal.BuildCSR(events, t0, delta, &scratch)
-		occ := temporal.OccupanciesCSR(cfg, c)
+		trips := temporal.CollectTripsCSR(cfg, c)
+		occ := make([]float64, len(trips))
+		for i, tr := range trips {
+			occ[i] = tr.Occupancy()
+		}
 		p := SweepPoint{Delta: delta, Scores: make([]float64, len(sels))}
 		if opt.HistogramBins > 0 {
 			h := dist.NewHistogram(opt.HistogramBins)

@@ -5,6 +5,7 @@ import (
 
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/temporal"
@@ -17,7 +18,7 @@ type runRecorder struct {
 	dests    []int32
 	flat     []temporal.Trip
 	finished bool
-	periods  int
+	periods  atomic.Int64 // ObservePeriod may run concurrently for different periods
 }
 
 func (o *runRecorder) Needs() Needs { return Needs{StreamTripRuns: true} }
@@ -52,7 +53,7 @@ func (o *runRecorder) ObservePeriod(p *Period) error {
 	if !o.finished {
 		return errors.New("period observed before FinishTripRuns")
 	}
-	o.periods++
+	o.periods.Add(1)
 	return nil
 }
 
@@ -96,8 +97,8 @@ func TestStreamTripRunsDelivery(t *testing.T) {
 								workers, inFlight, i, rec.flat[i], want[i])
 						}
 					}
-					if rec.periods != 2 {
-						t.Fatalf("observed %d periods, want 2", rec.periods)
+					if n := rec.periods.Load(); n != 2 {
+						t.Fatalf("observed %d periods, want 2", n)
 					}
 				}
 			}

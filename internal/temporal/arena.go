@@ -9,13 +9,11 @@ package temporal
 // interleave (a pooled buffer of the wrong size helps nobody); the
 // arena pool instead shelves complete backing-array sets by a
 // (nodes, events) size class, so consecutive periods of similar
-// magnitude reuse one contiguous arena — including the reciprocal
-// table, the single largest allocation of stream-keyed periods. The
-// pool is deliberately not a sync.Pool: shelves are evicted
-// deterministically once their class goes idle, so one huge period
-// followed by thousands of tiny ones cannot pin the huge class's
-// memory for the rest of the process (the GC of sync.Pool offers no
-// such bound within a run).
+// magnitude reuse one contiguous arena. The pool is deliberately not a
+// sync.Pool: shelves are evicted deterministically once their class
+// goes idle, so one huge period followed by thousands of tiny ones
+// cannot pin the huge class's memory for the rest of the process (the
+// GC of sync.Pool offers no such bound within a run).
 
 import (
 	"math/bits"
@@ -45,10 +43,9 @@ func arenaClassFor(nodes, events int) arenaClass {
 // csrArena is one recyclable set of CSR backing arrays. The arrays keep
 // their capacity across uses; lengths are re-derived by each build.
 type csrArena struct {
-	keys  []int64
-	off   []int
-	ends  []int32
-	recip []float64
+	keys []int64
+	off  []int
+	ends []int32
 }
 
 const (
@@ -80,9 +77,9 @@ var (
 // the arenas returned through RecycleCSR, arenasReused the hands that
 // were served from a shelf instead of a fresh allocation. After any
 // complete engine run — finished, failed or cancelled — handed and
-// recycled must balance: a surplus of handed arenas is a leak of the
-// largest buffers the engine owns. The cancellation regression tests
-// assert exactly that.
+// recycled must balance: a surplus of handed arenas is a leak of whole
+// periods' CSR arrays. The cancellation regression tests assert exactly
+// that.
 var arenasHanded, arenasRecycled, arenasReused atomic.Int64
 
 // ResetArenaStats zeroes the arena accounting counters.
@@ -146,13 +143,13 @@ func putArena(class arenaClass, a *csrArena) {
 }
 
 // BuildCSRArena is BuildCSR backed by the size-classed arena pool: the
-// returned CSR's Keys/Off/Ends arrays (and its lazily built reciprocal
-// table) live in an arena of the (nodes, events) class, reused from a
-// previous period of similar size when one is shelved. The caller owns
-// the CSR until it hands it back with RecycleCSR — which it must do on
-// every exit path, including cancellation, or the arena accounting
-// (ArenaStats) reports the leak. nodes is the run's node count; events,
-// t0, delta and scratch are exactly BuildCSR's.
+// returned CSR's Keys/Off/Ends arrays live in an arena of the (nodes,
+// events) class, reused from a previous period of similar size when one
+// is shelved. The caller owns the CSR until it hands it back with
+// RecycleCSR — which it must do on every exit path, including
+// cancellation, or the arena accounting (ArenaStats) reports the leak.
+// nodes is the run's node count; events, t0, delta and scratch are
+// exactly BuildCSR's.
 func BuildCSRArena(events []linkstream.Event, t0, delta int64, nodes int, scratch *CSRScratch) *CSR {
 	if len(events) == 0 {
 		// Nothing to arena: the empty CSR allocates nothing worth
@@ -197,11 +194,8 @@ func RecycleCSR(c *CSR) {
 	a.keys = c.Keys[:0]
 	a.off = c.Off[:0]
 	a.ends = c.Ends[:0]
-	if c.recip != nil {
-		a.recip = c.recip
-	}
 	c.arena = nil
-	c.Keys, c.Off, c.Ends, c.recip = nil, nil, nil, nil
+	c.Keys, c.Off, c.Ends = nil, nil, nil
 	putArena(c.class, a)
 	arenasRecycled.Add(1)
 }

@@ -102,40 +102,10 @@ func TestRecycleCSRDetachesSlices(t *testing.T) {
 	events := arenaEvents(t, 8, 100, 300, 32)
 	var scratch CSRScratch
 	c := BuildCSRArena(events, events[0].T, 20, 8, &scratch)
-	c.recipTable() // force the reciprocal table so recycling captures it
 	RecycleCSR(c)
-	if c.Keys != nil || c.Off != nil || c.Ends != nil || c.recip != nil || c.arena != nil {
+	if c.Keys != nil || c.Off != nil || c.Ends != nil || c.arena != nil {
 		t.Fatalf("recycled CSR still holds backing arrays: %+v", c)
 	}
-}
-
-// TestArenaRecipReuse checks that the reciprocal table — the largest
-// stream-keyed allocation — survives the recycle round-trip: a second
-// build of the same class finds the previous table's capacity in its
-// arena and recomputes values in place.
-func TestArenaRecipReuse(t *testing.T) {
-	events := arenaEvents(t, 8, 150, 400, 33)
-	var scratch CSRScratch
-	c1 := BuildCSRArena(events, events[0].T, 20, 8, &scratch)
-	r1 := c1.recipTable()
-	if len(r1) == 0 {
-		t.Fatal("no reciprocal table")
-	}
-	RecycleCSR(c1)
-	c2 := BuildCSRArena(events, events[0].T, 20, 8, &scratch)
-	if !c2.ArenaReused() {
-		t.Fatal("second build did not reuse the arena")
-	}
-	r2 := c2.recipTable()
-	if &r1[0] != &r2[0] {
-		t.Fatal("reciprocal table was reallocated despite matching capacity")
-	}
-	for i := range r2 {
-		if r2[i] != r1[i] {
-			t.Fatalf("recomputed reciprocal %d differs", i)
-		}
-	}
-	RecycleCSR(c2)
 }
 
 // TestArenaEvictionHugeThenTiny pins the temporal-pooling edge case the

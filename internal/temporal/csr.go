@@ -29,12 +29,6 @@ type CSR struct {
 	Off  []int // len(Keys)+1
 	Ends []int32
 
-	// recip caches 1/(arr-dep+1) for every possible trip duration, so
-	// the occupancy hot path multiplies instead of dividing. Built
-	// lazily; nil when the key span is too large to tabulate.
-	recipOnce sync.Once
-	recip     []float64
-
 	// arena links a pooled CSR back to its backing-array set; nil for
 	// plain-built CSRs. reused records whether that set came off a
 	// shelf. See BuildCSRArena/RecycleCSR (arena.go).
@@ -51,39 +45,6 @@ func (c *CSR) ArenaBacked() bool { return c.arena != nil }
 // ArenaReused reports whether the CSR's arena was reused from a shelf
 // rather than freshly allocated; always false for plain-built CSRs.
 func (c *CSR) ArenaReused() bool { return c.reused }
-
-// maxRecipSpan bounds the reciprocal table: series keys are window
-// indices (tiny spans), stream keys are raw timestamps (tabulated up to
-// 4M entries / 32 MB; beyond that the sweep falls back to division).
-const maxRecipSpan = 1 << 22
-
-// recipTable returns the 1/duration lookup table, or nil when the key
-// span exceeds maxRecipSpan. Arena-backed CSRs reuse the arena's table
-// buffer when its capacity suffices (the values are recomputed — only
-// the allocation is saved, and for stream-keyed periods it is the
-// single largest one).
-func (c *CSR) recipTable() []float64 {
-	c.recipOnce.Do(func() {
-		if len(c.Keys) == 0 {
-			return
-		}
-		span := c.Keys[len(c.Keys)-1] - c.Keys[0]
-		if span >= maxRecipSpan {
-			return
-		}
-		var t []float64
-		if a := c.arena; a != nil && int64(cap(a.recip)) > span {
-			t = a.recip[:span+1]
-		} else {
-			t = make([]float64, span+1)
-		}
-		for d := range t {
-			t[d] = 1 / float64(d+1)
-		}
-		c.recip = t
-	})
-	return c.recip
-}
 
 // NumLayers returns the number of (non-empty) layers.
 func (c *CSR) NumLayers() int { return len(c.Keys) }
@@ -514,7 +475,6 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 		nodeB[i] = unreachPacked
 	}
 	keys, off, ends := c.Keys, c.Off, c.Ends
-	recip := c.recipTable()
 	if st.occ == nil {
 		st.occ = newChunk()
 	}
@@ -539,12 +499,7 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 					st.occChunks = append(st.occChunks, occ)
 					occ = newChunk()
 				}
-				hop := float64(int32(p))
-				if recip != nil {
-					occ = append(occ, hop*recip[keys[p>>32]-key])
-				} else {
-					occ = append(occ, hop/float64(keys[p>>32]-key+1))
-				}
+				occ = append(occ, float64(int32(p))/float64(keys[p>>32]-key+1))
 			}
 		}
 	}
@@ -595,10 +550,6 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 		}
 	}
 	keys, off, ends := c.Keys, c.Off, c.Ends
-	var recip []float64
-	if wantOcc {
-		recip = c.recipTable()
-	}
 	touched := st.touched[:0]
 
 	for li := len(keys) - 1; li >= 0; li-- {
@@ -629,7 +580,7 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 					})
 				}
 				if wantOcc {
-					st.pushOcc(recip, key, keys[p>>32], int32(p))
+					st.pushOcc(key, keys[p>>32], int32(p))
 				}
 			}
 		}
@@ -814,10 +765,9 @@ func OccupanciesCSR(cfg Config, c *CSR) []float64 {
 }
 
 // pushOcc appends one minimal trip's occupancy to the state's chunk
-// sink, using the same reciprocal-table arithmetic as the blocked
-// occupancy sweep so every occupancy producer yields bit-identical
-// values.
-func (st *sweepState) pushOcc(recip []float64, dep, arr int64, hops int32) {
+// sink. It divides exactly as runOccBlock and Trip.Occupancy() do, so
+// every occupancy producer yields bit-identical values.
+func (st *sweepState) pushOcc(dep, arr int64, hops int32) {
 	if st.occ == nil {
 		st.occ = newChunk()
 	}
@@ -825,11 +775,7 @@ func (st *sweepState) pushOcc(recip []float64, dep, arr int64, hops int32) {
 		st.occChunks = append(st.occChunks, st.occ)
 		st.occ = newChunk()
 	}
-	if recip != nil {
-		st.occ = append(st.occ, float64(hops)*recip[arr-dep])
-	} else {
-		st.occ = append(st.occ, float64(hops)/float64(arr-dep+1))
-	}
+	st.occ = append(st.occ, float64(hops)/float64(arr-dep+1))
 }
 
 // DistSink accumulates the Figure 2 distance segments of a sweep, one

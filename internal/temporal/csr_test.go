@@ -138,7 +138,7 @@ func referenceTrips(cfg Config, layers []Layer) []Trip {
 	for d := int32(0); int(d) < cfg.N; d++ {
 		st.run(d, layers, cfg.Directed, func(u int32, dep, arr int64, hops int32) {
 			out = append(out, Trip{U: u, V: d, Dep: dep, Arr: arr, Hops: hops})
-		}, nil, 0)
+		}, nil)
 	}
 	return out
 }
@@ -149,7 +149,7 @@ func referenceDistances(cfg Config, layers []Layer, kMin, durPlus int64) Distanc
 	st := newDestState(cfg.N)
 	for d := int32(0); int(d) < cfg.N; d++ {
 		acc := distAcc{durPlus: durPlus, kMin: kMin}
-		st.run(d, layers, cfg.Directed, nil, &acc, 0)
+		st.run(d, layers, cfg.Directed, nil, &acc)
 		total.sumTime += acc.sumTime
 		total.sumHops += acc.sumHops
 		total.count += acc.count
@@ -250,11 +250,68 @@ func TestCSRSweepMatchesReferenceOccupancies(t *testing.T) {
 		sortFloats(want)
 		sortFloats(got)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
+			if got[i] != want[i] {
 				t.Fatalf("%s: occupancy %d = %v, reference %v", w.name, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// FuzzOccupanciesExact checks Definition 7's arithmetic on arbitrary
+// small graphs: decode an event list (at most 12 nodes, one byte of
+// time per event) with its orientation and ∆ from the input, build the
+// CSR, and require the engine's occupancies at both lane widths to be
+// bit-identical, as a multiset, to Trip.Occupancy() over the reference
+// sweep's trips. The first seed is a 3-hop trip over 5 windows:
+// 3/5 rounds to 0.6, but 3·(1/5) rounds to 0.6000000000000001.
+func FuzzOccupanciesExact(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 2, 2, 3, 4})
+	f.Add([]byte{1, 3, 4, 7, 10, 7, 2, 30, 2, 9, 31, 9, 4, 90, 0, 11, 200})
+	f.Add([]byte{0, 15, 0, 1, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 6, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		directed := data[0]&1 == 1
+		delta := 1 + int64(data[1]%16)
+		data = data[2:]
+		var events []linkstream.Event
+		for len(data) >= 3 {
+			u, v := int32(data[0]%12), int32(data[1]%12)
+			tt := int64(data[2])
+			data = data[3:]
+			if u != v {
+				events = append(events, linkstream.Event{T: tt, U: u, V: v})
+			}
+		}
+		if len(events) == 0 {
+			return
+		}
+		linkstream.SortEvents(events)
+		if !directed {
+			events = linkstream.Canonical(events)
+		}
+		var scratch CSRScratch
+		c := BuildCSR(events, events[0].T, delta, &scratch)
+		ref := referenceTrips(Config{N: 12, Directed: directed}, c.Layers())
+		want := make([]float64, len(ref))
+		for i, tr := range ref {
+			want[i] = tr.Occupancy()
+		}
+		sortFloats(want)
+		for _, width := range []int{4, 8} {
+			got := OccupanciesCSR(Config{N: 12, Directed: directed, Workers: 2, LaneWidth: width}, c)
+			sortFloats(got)
+			if len(got) != len(want) {
+				t.Fatalf("width=%d: %d occupancies, reference has %d", width, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("width=%d: occupancy %d = %v, Trip.Occupancy() %v", width, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 func TestCSRSweepMatchesReferenceDistances(t *testing.T) {

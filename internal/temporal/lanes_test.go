@@ -1,9 +1,6 @@
 package temporal
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // --- Lane-width plumbing ---
 
@@ -90,7 +87,7 @@ func TestLaneWidthEquivalenceOccupancies(t *testing.T) {
 				t.Fatalf("%s width=%d: %d occupancies, reference has %d", w.name, width, len(got), len(want))
 			}
 			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12 {
+				if got[i] != want[i] {
 					t.Fatalf("%s width=%d: occupancy %d = %v, reference %v", w.name, width, i, got[i], want[i])
 				}
 			}

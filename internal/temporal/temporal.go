@@ -21,8 +21,6 @@ package temporal
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/linkstream"
 	"repro/internal/series"
@@ -148,8 +146,8 @@ func (d *distAcc) addSegment(a, kFrom, kTo int64, h int32) {
 // run performs one backward sweep for destination dest. visit, if non
 // nil, receives every minimal trip (u, dest, dep, arr, hops) in order of
 // strictly decreasing dep per source. acc, if non nil, accumulates the
-// distance sums for all start times in [acc.kMin, kMax].
-func (st *destState) run(dest int32, layers []Layer, directed bool, visit func(u int32, dep, arr int64, hops int32), acc *distAcc, kMax int64) {
+// distance sums for all start times from acc.kMin on.
+func (st *destState) run(dest int32, layers []Layer, directed bool, visit func(u int32, dep, arr int64, hops int32), acc *distAcc) {
 	n := len(st.arr)
 	for i := 0; i < n; i++ {
 		st.arr[i] = Unreachable
@@ -237,41 +235,7 @@ func (st *destState) run(dest int32, layers []Layer, directed bool, visit func(u
 			}
 			acc.addSegment(st.arr[u], acc.kMin, st.segKey[u], st.hop[u])
 		}
-		_ = kMax
 	}
-}
-
-// forEachDest runs fn for every destination using cfg.Workers parallel
-// workers, each with its own scratch state.
-func forEachDest(cfg Config, fn func(dest int32, st *destState)) {
-	w := cfg.workers()
-	if w > cfg.N {
-		w = cfg.N
-	}
-	if w <= 1 {
-		st := newDestState(cfg.N)
-		for d := int32(0); int(d) < cfg.N; d++ {
-			fn(d, st)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := newDestState(cfg.N)
-			for {
-				d := next.Add(1) - 1
-				if d >= int64(cfg.N) {
-					return
-				}
-				fn(int32(d), st)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ForEachTrip enumerates all minimal trips sequentially in deterministic
