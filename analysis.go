@@ -33,14 +33,18 @@ var ErrNoEvents = errors.New("repro: stream has no events")
 // ErrPlanTooLarge is returned, wrapped with the offending option and
 // its bound, when an option whose value becomes an allocation size
 // exceeds its limit (MaxGridPoints, MaxRefine, MaxHistogramBins,
-// MaxAdaptiveBins).
+// MaxAdaptiveBins). MaxGridPoints bounds explicit grids too: the
+// WithGrid grid and each Window.Grid may hold at most MaxGridPoints
+// periods, like a derived grid.
 var ErrPlanTooLarge = errors.New("repro: plan exceeds a size limit")
 
 // Limits on the options whose value becomes an allocation size: a
 // derived grid pre-allocates one slot per requested point (WithGridPoints,
-// and WithRefine's refinement grid), and histogram and adaptive bins
-// size one counter array per period or per stream. NewAnalysis rejects
-// larger values, so an oversized spec fails before any allocation.
+// and WithRefine's refinement grid), an explicit grid (WithGrid,
+// Window.Grid) one result slot and one period job per entry, and
+// histogram and adaptive bins size one counter array per period or per
+// stream. NewAnalysis rejects larger values, so an oversized spec fails
+// before any allocation.
 const (
 	MaxGridPoints    = 1 << 12
 	MaxRefine        = 1 << 12
@@ -54,11 +58,17 @@ func (c *planConfig) checkLimits() error {
 	if c.adaptive != nil {
 		adaptiveBins = c.adaptive.Bins
 	}
+	windowGrid := 0
+	for _, w := range c.windows {
+		windowGrid = max(windowGrid, len(w.Grid))
+	}
 	for _, l := range []struct {
 		name   string
 		v, max int
 	}{
 		{"grid points", c.gridPoints, MaxGridPoints},
+		{"explicit grid length", len(c.grid), MaxGridPoints},
+		{"window grid length", windowGrid, MaxGridPoints},
 		{"refine", c.refine, MaxRefine},
 		{"histogram bins", c.histogramBins, MaxHistogramBins},
 		{"adaptive bins", adaptiveBins, MaxAdaptiveBins},

@@ -60,23 +60,39 @@ func TestNewAnalysisValidation(t *testing.T) {
 
 // TestNewAnalysisSizeLimits pins the allocation-size bounds: each
 // option is accepted at its limit and rejected with ErrPlanTooLarge one
-// past it, before any grid is built.
+// past it, before any grid is built. Explicit grids are only tried one
+// past the limit: a test cannot build a 1<<30-entry slice.
 func TestNewAnalysisSizeLimits(t *testing.T) {
 	s := uniformWorkload(t)
+	t0, t1, _ := s.Span()
+	grid := func(n int) []int64 {
+		g := make([]int64, n)
+		for i := range g {
+			g[i] = int64(i + 1)
+		}
+		return g
+	}
 	for _, tc := range []struct {
-		name string
-		opt  func(n int) Option
-		max  int
+		name     string
+		opt      func(n int) Option
+		max      int
+		explicit bool
 	}{
-		{"grid points", WithGridPoints, MaxGridPoints},
-		{"refine", WithRefine, MaxRefine},
-		{"histogram bins", WithHistogramBins, MaxHistogramBins},
-		{"adaptive bins", func(n int) Option { return WithAdaptive(AdaptiveConfig{Bins: n}) }, MaxAdaptiveBins},
+		{"grid points", WithGridPoints, MaxGridPoints, false},
+		{"explicit grid", func(n int) Option { return WithGrid(grid(n)...) }, MaxGridPoints, true},
+		{"window grid", func(n int) Option { return WithWindows(Window{Start: t0, End: t1 + 1, Grid: grid(n)}) }, MaxGridPoints, true},
+		{"refine", WithRefine, MaxRefine, false},
+		{"histogram bins", WithHistogramBins, MaxHistogramBins, false},
+		{"adaptive bins", func(n int) Option { return WithAdaptive(AdaptiveConfig{Bins: n}) }, MaxAdaptiveBins, false},
 	} {
 		if _, err := NewAnalysis(s, tc.opt(tc.max)); err != nil {
 			t.Errorf("%s at its limit %d: %v", tc.name, tc.max, err)
 		}
-		for _, n := range []int{tc.max + 1, 1 << 30} {
+		over := []int{tc.max + 1, 1 << 30}
+		if tc.explicit {
+			over = over[:1]
+		}
+		for _, n := range over {
 			if _, err := NewAnalysis(s, tc.opt(n)); !errors.Is(err, ErrPlanTooLarge) {
 				t.Errorf("%s %d: error %v, want ErrPlanTooLarge", tc.name, n, err)
 			}

@@ -344,15 +344,14 @@ func benchSweepLanes(b *testing.B, width int) {
 func BenchmarkSweepLanes4(b *testing.B) { benchSweepLanes(b, 4) }
 func BenchmarkSweepLanes8(b *testing.B) { benchSweepLanes(b, 8) }
 
-// BenchmarkStreamingTrips vs BenchmarkStreamingTripsReference: the
-// streaming raw-stream trip pipeline feeding the Section 8 validation
-// observers (per-destination runs merged into the incremental pair
-// index, two-hop spans kept, per-period scans sharded across the worker
-// pool) against the retained eager path (flat stream trip slice,
-// whole-period TripBlocks, sequential scan). Results are bit-identical;
-// the delta is residency: the streaming run's peak trip allocations
-// scale with the in-flight runs (lanes recycled block by block), not
-// with the stream's total trip population.
+// BenchmarkStreamingTrips: the raw-stream trip runs and the sharded
+// per-period trip scans feeding the Section 8 validation observers in
+// one fused pass — per-destination runs encoded into the elongation
+// pair-span arena, two-hop spans kept for the transition loss, each
+// period's trips scored block by block on the worker that swept them.
+// Peak trip allocations scale with the in-flight runs and blocks
+// (lanes recycled block by block), not with the stream's total trip
+// population.
 func BenchmarkStreamingTrips(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
@@ -360,19 +359,6 @@ func BenchmarkStreamingTrips(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loss := validate.NewTransitionLossObserver()
 		elong := validate.NewElongationObserver()
-		if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, loss, elong); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStreamingTripsReference(b *testing.B) {
-	s := irvineStream(b)
-	grid := core.LogGrid(3600, s.Duration(), 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loss := validate.NewTransitionLossObserverReference()
-		elong := validate.NewElongationObserverReference()
 		if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, loss, elong); err != nil {
 			b.Fatal(err)
 		}

@@ -333,26 +333,40 @@ func TestServerErrorMapping(t *testing.T) {
 }
 
 // TestServerRejectsOversizedPlan: a spec whose grid_points would size a
-// billion-slot candidate grid is refused at submit with a 400 naming
+// billion-slot candidate grid, or whose explicit grid lists one period
+// more than repro.MaxGridPoints, is refused at submit with a 400 naming
 // the bound, before any engine run.
 func TestServerRejectsOversizedPlan(t *testing.T) {
 	ts, q := testServer(t, QueueConfig{})
-	spec := smallSpec(t, 3)
-	spec.GridPoints = 1 << 30
-	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", submitBody(t, spec))
-	if err != nil {
-		t.Fatal(err)
+	points := smallSpec(t, 3)
+	points.GridPoints = 1 << 30
+	explicit := smallSpec(t, 3)
+	explicit.GridPoints = 0
+	for i := int64(1); i <= repro.MaxGridPoints+1; i++ {
+		explicit.Grid = append(explicit.Grid, i)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "grid points") {
-		t.Fatalf("error does not name the bounded field: %s", body)
+	for _, tc := range []struct {
+		spec  *repro.PlanSpec
+		field string
+	}{
+		{points, "grid points"},
+		{explicit, "explicit grid length"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", submitBody(t, tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", tc.field, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), tc.field) {
+			t.Fatalf("error does not name the bounded field %q: %s", tc.field, body)
+		}
 	}
 	if st := q.Stats(); st.RunCount != 0 {
-		t.Fatalf("oversized spec started %d engine runs", st.RunCount)
+		t.Fatalf("oversized specs started %d engine runs", st.RunCount)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestArenaBalanceAfterRun(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		var stats RunStats
 		err := Run(context.Background(), s, grid, Options{Workers: 2, MaxInFlight: 2, Stats: &stats},
-			newProbe(Needs{Occupancies: true, Trips: true}))
+			newProbe(Needs{Occupancies: true, TripShards: true}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func TestRunSourceColumnarMatchesStream(t *testing.T) {
 						a.view.Events[j], b.view.Events[j])
 				}
 			}
-			if !sameTripMultiset(a.view.StreamTrips(), b.view.StreamTrips()) {
+			if !sameTripMultiset(a.stream, b.stream) {
 				t.Fatalf("directed=%v segment %d: stream trips differ", directed, i)
 			}
 			for j := range a.periods {

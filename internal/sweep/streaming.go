@@ -4,9 +4,10 @@ package sweep
 // Needs.StreamTripRuns: the raw stream's minimal trips are produced by
 // the blocked lane sweep, parallel over destination blocks, and
 // delivered to consumers as per-destination runs in strictly increasing
-// destination order — the same order the eager collection concatenates —
-// without ever materialising the flat trip slice. Blocks that complete
-// ahead of the delivery cursor wait in a reorder window bounded by
+// destination order — the destination-major order of consecutive
+// single-destination sweeps (temporal.CollectTripsCSR) — without ever
+// materialising the flat trip slice. Blocks that complete ahead of the
+// delivery cursor wait in a reorder window bounded by
 // Options.MaxInFlight, so peak trip residency scales with the in-flight
 // runs, not with the stream's total trip population.
 

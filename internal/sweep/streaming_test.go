@@ -59,8 +59,8 @@ func (o *runRecorder) ObservePeriod(p *Period) error {
 
 // TestStreamTripRunsDelivery checks the streaming enumeration contract
 // for several worker counts and in-flight bounds: destinations arrive
-// strictly increasing, runs concatenate to exactly the eager
-// destination-major enumeration, and Finish precedes every period.
+// strictly increasing, runs concatenate to exactly the destination-major
+// enumeration of CollectTripsCSR, and Finish precedes every period.
 func TestStreamTripRunsDelivery(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -106,49 +106,30 @@ func TestStreamTripRunsDelivery(t *testing.T) {
 	}
 }
 
-// TestStreamTripRunsReplayFromEager checks that a segment mixing an
-// eager (Needs.StreamTrips) and a streaming consumer still enumerates
-// the stream once, replaying the eager lanes as runs.
-func TestStreamTripRunsReplayFromEager(t *testing.T) {
-	s := seededStream(t, 8, 2, 2000, 4)
-	rec := &runRecorder{}
-	eager := newProbe(Needs{StreamTrips: true})
-	ResetBuildStats()
-	if err := Run(context.Background(), s, []int64{25}, Options{Workers: 3}, rec, eager); err != nil {
-		t.Fatal(err)
-	}
-	if sb := StreamBuildCount(); sb != 1 {
-		t.Fatalf("StreamBuildCount = %d, want 1 (eager collection replayed to the streaming consumer)", sb)
-	}
-	flat := eager.view.StreamTrips()
-	if len(rec.flat) != len(flat) {
-		t.Fatalf("streaming consumer saw %d trips, eager slice has %d", len(rec.flat), len(flat))
-	}
-	for i := range flat {
-		if rec.flat[i] != flat[i] {
-			t.Fatalf("trip %d: replayed %+v != eager %+v", i, rec.flat[i], flat[i])
-		}
-	}
-}
-
-// countingShard tallies trips per lane; its observer cross-checks the
-// sharded totals against the whole-period trip blocks. Per the
-// TripShard contract, different blocks arrive concurrently, so both
-// tallies are per-block slices written at distinct indices — never a
-// shared map.
+// countingShard tallies trips per lane. Per the TripShard contract,
+// different blocks arrive concurrently, so both tallies are per-block
+// slices written at distinct indices — never a shared map.
 type countingShard struct {
 	lanes   int
 	perLane []int
 	blocks  []int32
 }
 
+// shardProbe hands out countingShards and records each period's
+// sharded trip total.
 type shardProbe struct {
 	probe
 	shards []*countingShard
+	totals []int
 }
 
 func (o *shardProbe) Needs() Needs {
-	return Needs{Trips: true, TripShards: true}
+	return Needs{TripShards: true}
+}
+
+func (o *shardProbe) Begin(v *StreamView) error {
+	o.totals = make([]int, len(v.Grid))
+	return o.probe.Begin(v)
 }
 
 func (o *shardProbe) NewTripShard(delta int64, blocks, lanesPerBlock int) TripShard {
@@ -173,33 +154,26 @@ func (o *shardProbe) ObservePeriod(p *Period) error {
 	if !ok {
 		return errors.New("Period.Shard is not this observer's shard")
 	}
-	total := 0
-	for _, c := range sh.perLane {
-		total += c
-	}
-	trips := 0
-	for _, blk := range p.TripBlocks {
-		trips += len(blk)
-	}
-	if total != trips {
-		return errors.New("sharded trip count diverges from TripBlocks")
-	}
 	for _, seen := range sh.blocks {
 		if seen != 1 {
 			return errors.New("a block was observed more than once")
 		}
+	}
+	for _, c := range sh.perLane {
+		o.totals[p.Index] += c
 	}
 	return o.probe.ObservePeriod(p)
 }
 
 // TestShardedTripObserver checks the per-block fan-out: every block of
 // every period reaches the observer's shard exactly once, on any
-// worker count, and Period.Shard hands the right shard back.
+// worker count, Period.Shard hands the right shard back, and the shards
+// together see every minimal trip of the period.
 func TestShardedTripObserver(t *testing.T) {
 	s := seededStream(t, 10, 3, 3000, 5)
 	grid := []int64{4, 50, 600, 3000}
 	for _, workers := range []int{1, 4} {
-		obs := &shardProbe{probe: *newProbe(Needs{Trips: true})}
+		obs := &shardProbe{probe: *newProbe(Needs{})}
 		if err := Run(context.Background(), s, grid, Options{Workers: workers, MaxInFlight: 2}, obs); err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +191,14 @@ func TestShardedTripObserver(t *testing.T) {
 				}
 			}
 		}
+		var scratch temporal.CSRScratch
+		for i, delta := range grid {
+			c := temporal.BuildCSR(obs.view.Events, obs.view.T0, delta, &scratch)
+			want := len(temporal.CollectTripsCSR(temporal.Config{N: s.NumNodes(), Workers: 1}, c))
+			if obs.totals[i] != want {
+				t.Fatalf("workers=%d delta=%d: shards saw %d trips, want %d", workers, delta, obs.totals[i], want)
+			}
+		}
 	}
 }
 
@@ -224,11 +206,11 @@ func TestShardedTripObserver(t *testing.T) {
 // streaming extensions.
 func TestStreamTripRunsValidation(t *testing.T) {
 	s := seededStream(t, 4, 2, 100, 6)
-	err := Run(context.Background(), s, []int64{10}, Options{}, newProbe(Needs{StreamTripRuns: true}))
+	err := Run(context.Background(), s, []int64{10}, Options{}, observerFunc{needs: Needs{StreamTripRuns: true}})
 	if err == nil || !strings.Contains(err.Error(), "TripRunObserver") {
 		t.Fatalf("StreamTripRuns without TripRunObserver: err = %v", err)
 	}
-	err = Run(context.Background(), s, []int64{10}, Options{}, newProbe(Needs{TripShards: true}))
+	err = Run(context.Background(), s, []int64{10}, Options{}, observerFunc{needs: Needs{TripShards: true}})
 	if err == nil || !strings.Contains(err.Error(), "ShardedTripObserver") {
 		t.Fatalf("TripShards without ShardedTripObserver: err = %v", err)
 	}

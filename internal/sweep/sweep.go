@@ -226,8 +226,6 @@ func (s *RunStats) Add(o RunStats) {
 // engine computes the union of all observers' needs in a single sweep
 // pass, so registering one more observer never adds another pass.
 type Needs struct {
-	// Trips requests Period.Trips, the minimal trips of G∆.
-	Trips bool
 	// Occupancies requests Period.Occupancies (or Period.Histogram in
 	// histogram mode), the occupancy rates of the minimal trips.
 	Occupancies bool
@@ -237,26 +235,20 @@ type Needs struct {
 	// WindowStats requests Period.Windows, the per-snapshot classical
 	// properties.
 	WindowStats bool
-	// StreamTrips requests StreamView.StreamTrips, the minimal trips of
-	// the raw stream, collected eagerly into one flat slice before any
-	// Begin. This is the retained eager path; observers that can score
-	// trips incrementally should declare StreamTripRuns instead, which
-	// never materialises the full trip population.
-	StreamTrips bool
-	// StreamTripRuns requests the streaming raw-stream trip pipeline:
-	// the observer (which must implement TripRunObserver) receives the
-	// stream's minimal trips as per-destination runs in strictly
-	// increasing destination order, after Begin and before any period.
-	// Runs are recycled as soon as every consumer has seen them, so at
-	// most Options.MaxInFlight destination blocks of trips are resident
-	// at once — O(in-flight runs), not O(total trips).
+	// StreamTripRuns requests the minimal trips of the raw stream: the
+	// observer (which must implement TripRunObserver) receives them as
+	// per-destination runs in strictly increasing destination order,
+	// after Begin and before any period. Runs are recycled as soon as
+	// every consumer has seen them, so at most Options.MaxInFlight
+	// destination blocks of trips are resident at once — O(in-flight
+	// runs), not O(total trips).
 	StreamTripRuns bool
-	// TripShards requests sharded per-period trip scoring: the observer
-	// (which must implement ShardedTripObserver) gets a fresh TripShard
-	// per period, fed one destination block of minimal trips at a time
-	// on whichever worker swept the block. Unless some observer also
-	// declares Trips, the period's trips are recycled block by block and
-	// never held whole.
+	// TripShards requests the minimal trips of G∆ (Dep and Arr are
+	// window indices), scored shard by shard: the observer (which must
+	// implement ShardedTripObserver) gets a fresh TripShard per period,
+	// fed one destination block of minimal trips at a time on whichever
+	// worker swept the block. The blocks are recycled as soon as every
+	// shard has seen them, so a period never holds its trips whole.
 	TripShards bool
 	// Snapshots requests Period.Graph, the period's layer arena itself:
 	// each layer is one non-empty window's deduplicated edge set, in
@@ -279,11 +271,9 @@ type Needs struct {
 
 func (n Needs) union(o Needs) Needs {
 	return Needs{
-		Trips:          n.Trips || o.Trips,
 		Occupancies:    n.Occupancies || o.Occupancies,
 		Distances:      n.Distances || o.Distances,
 		WindowStats:    n.WindowStats || o.WindowStats,
-		StreamTrips:    n.StreamTrips || o.StreamTrips,
 		StreamTripRuns: n.StreamTripRuns || o.StreamTripRuns,
 		TripShards:     n.TripShards || o.TripShards,
 		Snapshots:      n.Snapshots || o.Snapshots,
@@ -294,19 +284,18 @@ func (n Needs) union(o Needs) Needs {
 // perPeriod reports whether any per-period product requires building
 // the period's CSR at all.
 func (n Needs) perPeriod() bool {
-	return n.Trips || n.Occupancies || n.Distances || n.WindowStats ||
+	return n.Occupancies || n.Distances || n.WindowStats ||
 		n.TripShards || n.Snapshots || n.EdgeWeights
 }
 
 // sweeps reports whether the backward temporal-path sweep must run.
 func (n Needs) sweeps() bool {
-	return n.Trips || n.Occupancies || n.Distances || n.TripShards
+	return n.Occupancies || n.Distances || n.TripShards
 }
 
 // StreamView is the stream-level context handed to Observer.Begin: the
 // sorted (and, for undirected runs, canonicalised) event buffer shared
-// by every period, the candidate grid, and — when requested — the
-// minimal trips of the raw stream.
+// by every period and the candidate grid.
 type StreamView struct {
 	N        int
 	Directed bool
@@ -315,14 +304,7 @@ type StreamView struct {
 	// Events is sorted by time and canonicalised (U < V) for
 	// undirected runs. Observers must not modify it.
 	Events []linkstream.Event
-
-	streamTrips []temporal.Trip
 }
-
-// StreamTrips returns the minimal trips of the raw stream (layer per
-// distinct timestamp, raw timestamps as keys). It is non-nil only for
-// runs whose observers declared Needs.StreamTrips.
-func (v *StreamView) StreamTrips() []temporal.Trip { return v.streamTrips }
 
 // Period is the per-period view handed to Observer.ObservePeriod. Only
 // the products requested through Needs are populated; everything the
@@ -333,15 +315,6 @@ type Period struct {
 	T0         int64 // origin of the window partition
 	NumWindows int64 // total number of windows, empty ones included
 
-	// TripBlocks holds the minimal trips of G∆ (Dep and Arr are window
-	// indices) as per-destination slices in destination order:
-	// iterating the blocks in order and each block front to back visits
-	// every trip in exactly the order consecutive single-destination
-	// backward sweeps would emit them. The blocked layout is exposed
-	// as-is so no trip is ever copied between the sweep and the
-	// observers; use Trips to materialise one flat slice. Populated for
-	// Needs.Trips.
-	TripBlocks [][]temporal.Trip
 	// OccupancyChunks holds the occupancy-rate multiset of the minimal
 	// trips as a list of engine-owned value chunks (OccupancyCount
 	// values overall), in unspecified order. Populated for
@@ -380,21 +353,6 @@ type Period struct {
 	// only while a ShardedTripObserver's ObservePeriod runs. Every
 	// block has been observed by the time it is handed back.
 	Shard TripShard
-}
-
-// Trips concatenates TripBlocks into one flat destination-ordered
-// slice. It allocates; observers that only iterate should range over
-// TripBlocks directly.
-func (p *Period) Trips() []temporal.Trip {
-	total := 0
-	for _, blk := range p.TripBlocks {
-		total += len(blk)
-	}
-	out := make([]temporal.Trip, 0, total)
-	for _, blk := range p.TripBlocks {
-		out = append(out, blk...)
-	}
-	return out
 }
 
 // Observer consumes the products of an engine run. Begin is called
@@ -510,8 +468,8 @@ func DedupCount() int64 { return periodDedups.Load() }
 
 // StreamBuildCount returns how many raw-stream trip enumerations ran
 // since the last ResetBuildStats: one per distinct event window whose
-// observers requested stream trips (eagerly or as runs), however many
-// segments share that window.
+// observers requested stream trip runs, however many segments share
+// that window.
 func StreamBuildCount() int64 { return streamBuilds.Load() }
 
 // SortSkipCount returns how many engine passes since the last
@@ -521,13 +479,14 @@ func StreamBuildCount() int64 { return streamBuilds.Load() }
 func SortSkipCount() int64 { return sortSkips.Load() }
 
 // Run executes one engine pass over the whole stream: it validates the
-// inputs, prepares the shared stream view (plus the raw-stream trips if
-// any observer needs them), calls every observer's Begin, then
-// pipelines the grid's periods through the bounded in-flight scheduler,
-// fanning each period's products to every observer. The first error —
-// from an observer, the engine itself, or ctx being cancelled — aborts
-// the run and is returned. Run is the single-window special case of
-// RunWindowed; see RunWindowed for the cancellation contract.
+// inputs, prepares the shared stream view, calls every observer's
+// Begin, streams the raw-stream trips to the observers that requested
+// them, then pipelines the grid's periods through the bounded in-flight
+// scheduler, fanning each period's products to every observer. The
+// first error — from an observer, the engine itself, or ctx being
+// cancelled — aborts the run and is returned. Run is the single-window
+// special case of RunWindowed; see RunWindowed for the cancellation
+// contract.
 func Run(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options, observers ...Observer) error {
 	return RunWindowed(ctx, s, opt, SegmentObserver{Grid: grid, Observers: observers})
 }
@@ -600,10 +559,9 @@ type job struct {
 	occTotal int
 	hist     *dist.Histogram
 
-	blockTrips [][]temporal.Trip  // one slot per (block, lane), written lock-free
-	sink       *temporal.DistSink // per-destination slots, written lock-free
-	stats      series.Stats       // written by the stats task
-	weights    []int32            // written by the weights task
+	sink    *temporal.DistSink // per-destination slots, written lock-free
+	stats   series.Stats       // written by the stats task
+	weights []int32            // written by the weights task
 
 	// shards flattens every target observer's TripShard for the block
 	// fan-out; targetShards maps them back per (target, observer) for
@@ -821,9 +779,6 @@ func (e *engine) produce() {
 		ntasks := 0
 		if sp.needs.sweeps() {
 			ntasks += e.blocks
-			if sp.needs.Trips {
-				j.blockTrips = make([][]temporal.Trip, e.width*e.blocks)
-			}
 			if sp.needs.Distances {
 				j.sink = temporal.NewDistSink(e.n, 0, 1)
 			}
@@ -882,8 +837,8 @@ func (e *engine) worker() {
 	defer e.wg.Done()
 	w := temporal.NewWorkerWidth(e.n, e.width)
 	defer w.Release()
-	// laneBuf receives shard-only trip lanes (recycled block by block);
-	// jobs that keep their trips write straight into j.blockTrips.
+	// laneBuf receives one block's trip lanes, recycled once every
+	// shard has scored them.
 	laneBuf := make([][]temporal.Trip, e.width)
 	// wscratch is the worker's sort buffer for edge-weight tasks.
 	var wscratch temporal.CSRScratch
@@ -959,31 +914,21 @@ func (e *engine) worker() {
 				cur = j
 				j.contrib.Add(1)
 			}
-			wantTrips := needs.Trips || needs.TripShards
-			if wantTrips || needs.Distances {
-				// Jobs that keep their trips sweep straight into their
-				// own lane table — no copy between sweep and observers;
-				// shard-only jobs borrow the worker's lane buffer.
-				lanes := laneBuf
-				if needs.Trips {
-					lanes = j.blockTrips[e.width*t.block : e.width*(t.block+1)]
-				}
+			if needs.TripShards || needs.Distances {
 				w.SweepFullBlock(j.csr, e.opt.Directed, t.block,
-					wantTrips, needs.Occupancies, j.sink, lanes)
-				if len(j.shards) > 0 {
+					needs.TripShards, needs.Occupancies, j.sink, laneBuf)
+				if needs.TripShards {
 					// Sharded scoring runs right here, on the sweeping
 					// worker, so a period's trip scans parallelise
-					// across blocks like the sweeps themselves do.
+					// across blocks like the sweeps themselves do; the
+					// block is released once every shard has seen it —
+					// the period never holds its trips whole.
 					for _, sh := range j.shards {
-						if err := sh.ObserveTripBlock(t.block, lanes); err != nil {
+						if err := sh.ObserveTripBlock(t.block, laneBuf); err != nil {
 							e.fail(err)
 							break
 						}
 					}
-				}
-				if wantTrips && !needs.Trips {
-					// Shard-only trips: scored above, released block by
-					// block — the period never holds its trips whole.
 					temporal.RecycleTrips(laneBuf...)
 					clear(laneBuf)
 				}
@@ -1018,19 +963,15 @@ func (e *engine) maybeFinalize(j *job) {
 func (e *engine) finalize(j *job) {
 	defer func() {
 		// Recycling lives here, on every exit path — a cancelled or
-		// observer-failed period must hand its arena, pooled lane
-		// buffers and occupancy chunks back exactly like a completed
-		// one, or a mid-sweep abort leaks them from the pools for good.
+		// observer-failed period must hand its arena and occupancy
+		// chunks back exactly like a completed one, or a mid-sweep
+		// abort leaks them from the pools for good.
 		if j.chunks != nil && !j.spec.histMode {
 			temporal.RecycleOccupancies(j.chunks)
-		}
-		if j.blockTrips != nil {
-			temporal.RecycleTrips(j.blockTrips...)
 		}
 		e.recycleCSR(j.csr)
 		j.csr = nil
 		j.chunks = nil
-		j.blockTrips = nil
 		j.sink = nil
 		j.hist = nil
 		j.weights = nil
@@ -1051,9 +992,6 @@ func (e *engine) finalize(j *job) {
 	for ti, tgt := range sp.targets {
 		sc := tgt.sc
 		p := &Period{Index: tgt.idx, Delta: sp.delta, T0: sc.v.T0, NumWindows: j.numWindows}
-		if sc.needs.Trips {
-			p.TripBlocks = j.blockTrips
-		}
 		if sc.needs.Occupancies {
 			if sc.histMode {
 				p.Histogram = j.hist

@@ -37,10 +37,13 @@ func seededStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream
 
 // probe records everything the engine hands an observer. Per the
 // Observer contract, ObservePeriod writes only its own grid slot, so
-// concurrent period callbacks never share state.
+// concurrent period callbacks never share state. It implements both
+// trip interfaces; the engine only uses them when needs declares
+// StreamTripRuns or TripShards.
 type probe struct {
 	needs   Needs
 	view    *StreamView
+	stream  []temporal.Trip // the raw stream's trips, in delivery order
 	periods []*recordedPeriod
 }
 
@@ -58,13 +61,22 @@ func newProbe(needs Needs) *probe { return &probe{needs: needs} }
 func (o *probe) Needs() Needs { return o.needs }
 func (o *probe) Begin(v *StreamView) error {
 	o.view = v
+	o.stream = nil
 	o.periods = make([]*recordedPeriod, len(v.Grid))
 	return nil
 }
+func (o *probe) ObserveTripRun(dest int32, run []temporal.Trip) error {
+	o.stream = append(o.stream, run...)
+	return nil
+}
+func (o *probe) FinishTripRuns() error { return nil }
+func (o *probe) NewTripShard(delta int64, blocks, lanesPerBlock int) TripShard {
+	return &tripCollector{blocks: make([][][]temporal.Trip, blocks)}
+}
 func (o *probe) ObservePeriod(p *Period) error {
 	rp := &recordedPeriod{delta: p.Delta, numWindows: p.NumWindows, distances: p.Distances, windows: p.Windows.MeanDensity}
-	if o.needs.Trips {
-		rp.trips = p.Trips()
+	if o.needs.TripShards {
+		rp.trips = p.Shard.(*tripCollector).trips()
 	}
 	if o.needs.Occupancies {
 		for _, ch := range p.OccupancyChunks {
@@ -75,8 +87,36 @@ func (o *probe) ObservePeriod(p *Period) error {
 	return nil
 }
 
+// tripCollector is the probe's TripShard: it copies every block's lanes
+// (the engine recycles them once the call returns). Blocks arrive
+// concurrently, each into its own slot.
+type tripCollector struct {
+	blocks [][][]temporal.Trip
+}
+
+func (c *tripCollector) ObserveTripBlock(block int, lanes [][]temporal.Trip) error {
+	kept := make([][]temporal.Trip, len(lanes))
+	for l, lane := range lanes {
+		kept[l] = append([]temporal.Trip(nil), lane...)
+	}
+	c.blocks[block] = kept
+	return nil
+}
+
+// trips concatenates the blocks, then their lanes, in order: the
+// destination-major order consecutive single-destination sweeps emit.
+func (c *tripCollector) trips() []temporal.Trip {
+	var out []temporal.Trip
+	for _, lanes := range c.blocks {
+		for _, lane := range lanes {
+			out = append(out, lane...)
+		}
+	}
+	return out
+}
+
 func allNeeds() Needs {
-	return Needs{Trips: true, Occupancies: true, Distances: true, WindowStats: true, StreamTrips: true}
+	return Needs{TripShards: true, Occupancies: true, Distances: true, WindowStats: true, StreamTripRuns: true}
 }
 
 func TestRunBuildsEachPeriodOnce(t *testing.T) {
@@ -110,14 +150,14 @@ func TestRunBuildsEachPeriodOnce(t *testing.T) {
 func TestStreamOnlyObserversBuildNothing(t *testing.T) {
 	s := seededStream(t, 6, 2, 1000, 2)
 	ResetBuildStats()
-	obs := newProbe(Needs{StreamTrips: true})
+	obs := newProbe(Needs{StreamTripRuns: true})
 	if err := Run(context.Background(), s, []int64{10, 100}, Options{}, obs); err != nil {
 		t.Fatal(err)
 	}
 	if builds, _ := BuildStats(); builds != 0 {
 		t.Fatalf("stream-only run built %d period CSRs", builds)
 	}
-	if len(obs.view.StreamTrips()) == 0 {
+	if len(obs.stream) == 0 {
 		t.Fatal("no stream trips collected")
 	}
 	if obs.periods[0] == nil || obs.periods[1] == nil {
@@ -141,7 +181,7 @@ func TestProductsMatchDirectComputation(t *testing.T) {
 			// of trip values (the reference's parallel order varies).
 			cfg := temporal.Config{N: s.NumNodes(), Directed: directed, Workers: 1}
 			wantStream := temporal.CollectTrips(cfg, temporal.StreamLayers(s, directed))
-			if got := obs.view.StreamTrips(); !sameTripMultiset(got, wantStream) {
+			if got := obs.stream; !sameTripMultiset(got, wantStream) {
 				t.Fatalf("directed=%v seed=%d: stream trips mismatch (%d vs %d)", directed, seed, len(got), len(wantStream))
 			}
 			events := obs.view.Events

@@ -71,13 +71,10 @@ type StreamSource interface {
 }
 
 // streamGroup collects the scopes whose event windows coincide: they
-// share one raw-stream trip enumeration. lanes caches the eager
-// per-destination lanes when a member also needs the flat collection,
-// so streaming consumers replay them instead of sweeping twice.
+// share one raw-stream trip enumeration.
 type streamGroup struct {
 	lo, hi int
 	scopes []*scope
-	lanes  [][]temporal.Trip
 }
 
 // RunWindowed executes one engine pass serving every registered
@@ -239,7 +236,7 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			histMode: opt.HistogramBins > 0 && needs.Occupancies,
 		}
 		scopes = append(scopes, sc)
-		if needs.StreamTrips || needs.StreamTripRuns {
+		if needs.StreamTripRuns {
 			g := groupAt[[2]int{lo, hi}]
 			if g == nil {
 				g = &streamGroup{lo: lo, hi: hi}
@@ -255,63 +252,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 	}
 	e.emitStage(StagePlanned, 0)
 
-	// Eager raw-stream trips (Needs.StreamTrips) are collected before
-	// Begin — observers read StreamView.StreamTrips there — with one
-	// enumeration per distinct window, shared by every scope of the
-	// group. The lanes are kept when the group also has streaming
-	// consumers, so the later run delivery replays them for free.
-	cfg := temporal.Config{N: n, Directed: opt.Directed, Workers: opt.Workers, LaneWidth: opt.LaneWidth}
-	var scratch temporal.CSRScratch
-	// Pooled lanes kept for streaming replay (g.lanes) must go back to
-	// the pool on every exit path — including a cancellation between
-	// two groups' eager collections — so the recycling defer is
-	// registered before the first group can stash lanes.
-	defer func() {
-		for _, g := range groups {
-			if g.lanes != nil {
-				temporal.RecycleTrips(g.lanes...)
-				g.lanes = nil
-			}
-		}
-	}()
-	for _, g := range groups {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		eager, streaming := false, false
-		for _, sc := range g.scopes {
-			eager = eager || sc.needs.StreamTrips
-			streaming = streaming || sc.needs.StreamTripRuns
-		}
-		if !eager {
-			continue
-		}
-		c := e.buildCSRArena(events[g.lo:g.hi], 0, 1, &scratch)
-		streamBuilds.Add(1)
-		e.streamBuilds++
-		lanes := temporal.CollectTripLanes(cfg, c)
-		e.recycleCSR(c)
-		total := 0
-		for _, l := range lanes {
-			total += len(l)
-		}
-		flat := make([]temporal.Trip, 0, total)
-		for _, l := range lanes {
-			flat = append(flat, l...)
-		}
-		for _, sc := range g.scopes {
-			if sc.needs.StreamTrips {
-				sc.v.streamTrips = flat
-			}
-		}
-		if streaming {
-			g.lanes = lanes
-		} else {
-			temporal.RecycleTrips(lanes...)
-		}
-		e.emitStage(StageStreamTrips, 0)
-	}
-
 	for _, sc := range scopes {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -323,12 +263,14 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 		}
 	}
 
-	// Streaming raw-stream trip runs (Needs.StreamTripRuns) are
-	// delivered after Begin and before any period: per-destination runs
-	// in strictly increasing destination order, recycled as soon as
-	// every consumer of the group has seen them. Without an eager
-	// collection to replay, the enumeration itself is streamed — at most
-	// MaxInFlight destination blocks of trips are ever resident.
+	// Raw-stream trip runs (Needs.StreamTripRuns) are delivered after
+	// Begin and before any period: per-destination runs in strictly
+	// increasing destination order, recycled as soon as every consumer
+	// of the group has seen them. The enumeration itself is streamed —
+	// at most MaxInFlight destination blocks of trips are ever resident
+	// — and runs once per distinct window, shared by every scope of the
+	// group.
+	var scratch temporal.CSRScratch
 	for _, g := range groups {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -341,9 +283,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 				}
 			}
 		}
-		if len(consumers) == 0 {
-			continue
-		}
 		deliver := func(dest int32, run []temporal.Trip) error {
 			for _, c := range consumers {
 				if err := c.ObserveTripRun(dest, run); err != nil {
@@ -352,28 +291,15 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			}
 			return nil
 		}
-		if g.lanes != nil {
-			for d, run := range g.lanes {
-				if len(run) == 0 {
-					continue
-				}
-				if err := deliver(int32(d), run); err != nil {
-					return err
-				}
-			}
-			temporal.RecycleTrips(g.lanes...)
-			g.lanes = nil
-		} else {
-			c := e.buildCSRArena(events[g.lo:g.hi], 0, 1, &scratch)
-			streamBuilds.Add(1)
-			e.streamBuilds++
-			err := streamTripRuns(ctx, c, n, opt, deliver)
-			e.recycleCSR(c)
-			if err != nil {
-				return err
-			}
-			e.emitStage(StageStreamTrips, 0)
+		csr := e.buildCSRArena(events[g.lo:g.hi], 0, 1, &scratch)
+		streamBuilds.Add(1)
+		e.streamBuilds++
+		err := streamTripRuns(ctx, csr, n, opt, deliver)
+		e.recycleCSR(csr)
+		if err != nil {
+			return err
 		}
+		e.emitStage(StageStreamTrips, 0)
 		for _, c := range consumers {
 			if err := c.FinishTripRuns(); err != nil {
 				return err

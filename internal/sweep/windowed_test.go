@@ -91,7 +91,7 @@ func TestWindowedMatchesNaiveSliceSweep(t *testing.T) {
 		for i, w := range windows {
 			// Grids differ per window to exercise per-segment routing.
 			grid := []int64{1 + int64(i), 10 + int64(10*i), (t1 - t0 + 1)}
-			probes[i] = newProbe(Needs{Trips: true, Occupancies: true, Distances: true, WindowStats: true})
+			probes[i] = newProbe(Needs{TripShards: true, Occupancies: true, Distances: true, WindowStats: true})
 			segments[i] = SegmentObserver{Start: w.start, End: w.end, Grid: grid, Observers: []Observer{probes[i]}}
 		}
 		workers := 1 + rng.Intn(4)
@@ -166,7 +166,7 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 	}
 	probes := make([]*probe, len(segments))
 	for i := range segments {
-		probes[i] = newProbe(Needs{Trips: true, StreamTrips: true})
+		probes[i] = newProbe(Needs{TripShards: true, StreamTripRuns: true})
 		segments[i].Observers = []Observer{probes[i]}
 	}
 	ResetBuildStats()
@@ -211,7 +211,7 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 		// Per-segment stream trips come from the segment's slice alone.
 		subCSR := temporal.StreamCSR(s.SliceTime(lo, hi), false)
 		wantStream := temporal.CollectTripsCSR(temporal.Config{N: s.NumNodes(), Workers: 1}, subCSR)
-		if !sameTripMultiset(v.StreamTrips(), wantStream) {
+		if !sameTripMultiset(probes[i].stream, wantStream) {
 			t.Fatalf("segment %d: stream trips not restricted to the window", i)
 		}
 	}
@@ -227,7 +227,7 @@ func TestWindowedErrors(t *testing.T) {
 		t.Fatal("no segments should error")
 	}
 	err := RunWindowed(context.Background(), s, Options{}, SegmentObserver{
-		Start: 5000, End: 6000, Grid: []int64{10}, Observers: []Observer{newProbe(Needs{Trips: true})},
+		Start: 5000, End: 6000, Grid: []int64{10}, Observers: []Observer{newProbe(Needs{TripShards: true})},
 	})
 	if err == nil || !strings.Contains(err.Error(), "no events") {
 		t.Fatalf("empty window: err = %v", err)

@@ -323,7 +323,7 @@ func TripLaneStats() (handed, recycled int64) {
 }
 
 // RecycleTrips returns per-destination trip slices — SweepFullBlock
-// lanes, engine TripBlocks, stream trip runs — to the lane pool. The
+// lanes, CollectTripLanes lanes, stream trip runs — to the lane pool. The
 // caller must not touch a slice after recycling it; consumers that keep
 // trips must copy them out first.
 func RecycleTrips(lanes ...[]Trip) {
@@ -358,11 +358,11 @@ func concatChunks(total int, chunkLists ...[][]float64) []float64 {
 }
 
 // run performs one backward sweep for destination dest over the CSR.
-// It mirrors destState.run (the reference implementation, temporal.go)
-// with the relax bodies inlined over the flat endpoint array. visit, if
-// non nil, receives every minimal trip; acc, if non nil, accumulates
-// the distance segments. The occupancy hot path does not come through
-// here — it runs the blocked sweep, runOccBlock.
+// It mirrors the slice-based reference sweep over []Layer, kept in
+// csr_test.go, with the relax bodies inlined over the flat endpoint
+// array. visit, if non nil, receives every minimal trip; acc, if non
+// nil, accumulates the distance segments. The occupancy hot path does
+// not come through here — it runs the blocked sweep, runOccBlock.
 func (st *sweepState) run(c *CSR, dest int32, directed bool, visit func(u int32, dep, arr int64, hops int32), acc *distAcc) {
 	node, cand, seg := st.node, st.cand, st.seg
 	for i := range node {
@@ -892,12 +892,6 @@ func (w *Worker) SweepFullBlock(c *CSR, directed bool, b int, wantTrips, wantOcc
 // delta afterwards.
 func (w *Worker) TakeOccupancies() (chunks [][]float64, total int) {
 	return w.st.takeOcc()
-}
-
-// ConcatOccupancies assembles chunk lists (from TakeOccupancies) into
-// one exact-size slice.
-func ConcatOccupancies(total int, chunkLists ...[][]float64) []float64 {
-	return concatChunks(total, chunkLists...)
 }
 
 // RecycleOccupancies returns chunks obtained from TakeOccupancies to

@@ -96,37 +96,45 @@ func TestElongationMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStreamingObserversMatchEagerObservers runs the streaming
-// observers (pair-span arena off trip runs, sharded period
-// scans) and the retained eager reference observers in the same fused
+// TestFusedObserversMatchCurveReferences runs both streaming observers
+// (pair-span arena off trip runs, sharded period scans) in one fused
 // engine pass, across seeds × orientations × workers × in-flight
-// bounds, and requires bit-identical curves — the tentpole guarantee
-// that streaming the trip pipeline never changes a result.
-func TestStreamingObserversMatchEagerObservers(t *testing.T) {
+// bounds, and requires bit-identical curves to the seed
+// implementations, which run one dedicated temporal pass per metric —
+// sharing the pass, its trip runs and its period sweeps never changes a
+// result.
+func TestFusedObserversMatchCurveReferences(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			s := mixedStream(t, 8, 2, 3000, seed)
 			grid := []int64{1, 12, 90, 700, 3000}
+			ref := Options{Directed: directed, Workers: 1}
+			wantLoss, err := TransitionLossCurveReference(s, grid, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantElong, err := ElongationCurveReference(s, grid, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 3} {
 				for _, inFlight := range []int{1, 2, 0} {
 					loss := NewTransitionLossObserver()
-					lossRef := NewTransitionLossObserverReference()
 					elong := NewElongationObserver()
-					elongRef := NewElongationObserverReference()
 					err := sweep.Run(context.Background(), s, grid,
 						sweep.Options{Directed: directed, Workers: workers, MaxInFlight: inFlight},
-						loss, lossRef, elong, elongRef)
+						loss, elong)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for i := range grid {
-						if loss.Points()[i] != lossRef.Points()[i] {
-							t.Fatalf("directed=%v seed=%d workers=%d inflight=%d loss point %d: streaming %+v != eager %+v",
-								directed, seed, workers, inFlight, i, loss.Points()[i], lossRef.Points()[i])
+						if loss.Points()[i] != wantLoss[i] {
+							t.Fatalf("directed=%v seed=%d workers=%d inflight=%d loss point %d: fused %+v != reference %+v",
+								directed, seed, workers, inFlight, i, loss.Points()[i], wantLoss[i])
 						}
-						if elong.Points()[i] != elongRef.Points()[i] {
-							t.Fatalf("directed=%v seed=%d workers=%d inflight=%d elongation point %d: streaming %+v != eager %+v",
-								directed, seed, workers, inFlight, i, elong.Points()[i], elongRef.Points()[i])
+						if elong.Points()[i] != wantElong[i] {
+							t.Fatalf("directed=%v seed=%d workers=%d inflight=%d elongation point %d: fused %+v != reference %+v",
+								directed, seed, workers, inFlight, i, elong.Points()[i], wantElong[i])
 						}
 					}
 				}

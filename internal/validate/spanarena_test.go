@@ -66,7 +66,7 @@ func regionSpans(ds *destSpans, u int32) []tripSpan {
 }
 
 // TestSpanArenaMatchesPairIndex decodes every destination region of the
-// delta-encoded arena and requires exactly the integer spans the eager
+// delta-encoded arena and requires exactly the integer spans the
 // flat/map pair index holds — for small and large node counts, with
 // the spill shelf off and forced on after every run (cap 1 byte). One
 // destSpans scratch serves every arena, as the observer's pool does,
@@ -208,8 +208,8 @@ func TestDecodeDestRejectsCorruptSource(t *testing.T) {
 // TestElongationSpillForcedBitExact is the acceptance gate for the
 // spill shelf: an elongation run whose arena is forced to spill after
 // every encoded run (SpillBytes 1) produces the identical curve — every
-// float bit — as the all-in-RAM observer and the eager reference, and
-// really did spill.
+// float bit — as the all-in-RAM observer and ElongationCurveReference,
+// and really did spill.
 func TestElongationSpillForcedBitExact(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		s := mixedStream(t, 8, 2, 3000, 4)

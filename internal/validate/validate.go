@@ -16,9 +16,8 @@
 // disk. The elongation observer's per-period scan is sharded across the
 // engine's worker pool as per-block partial sums combined in block
 // order, so its result is bit-for-bit identical for any worker count —
-// and to the retained eager reference implementations
-// (TransitionLossObserverReference, ElongationObserverReference,
-// *CurveReference).
+// and to the retained seed implementations (*CurveReference), which run
+// one dedicated temporal pass per metric.
 package validate
 
 import (
@@ -89,8 +88,7 @@ func (o *TransitionLossObserver) Begin(v *sweep.StreamView) error {
 
 // ObserveTripRun implements sweep.TripRunObserver: shortest transitions
 // are the minimal trips with exactly two hops (Definition 6), collected
-// run by run in the same destination-major order an eager scan of the
-// flat trip slice would visit.
+// run by run in destination-major order.
 func (o *TransitionLossObserver) ObserveTripRun(dest int32, run []temporal.Trip) error {
 	for _, tr := range run {
 		if tr.Hops == 2 {
@@ -110,8 +108,7 @@ func (o *TransitionLossObserver) ObservePeriod(p *sweep.Period) error {
 }
 
 // lossPoint scores one period's transition loss over the stream's
-// shortest-transition spans; shared by the streaming observer and the
-// eager reference.
+// shortest-transition spans.
 func lossPoint(spans []tripSpan, t0, delta int64) LossPoint {
 	lost := 0
 	for _, tr := range spans {
@@ -157,10 +154,10 @@ type tripSpan struct {
 // by non-nesting, strictly increasing arrival). For node counts up to
 // maxFlatPairNodes the spans live in one flat arena addressed by a
 // dense n×n offset table, laid out destination-major (pair (u, v) at
-// slot v·n+u) — the eager reference's elongation scan queries the index
-// once per series trip, and an array lookup beats a hash probe by an
-// order of magnitude there. Larger graphs fall back to a map. The
-// streaming observer's span arena is checked against this index.
+// slot v·n+u) — ElongationCurveReference queries the index once per
+// series trip, and an array lookup beats a hash probe by an order of
+// magnitude there. Larger graphs fall back to a map. The streaming
+// observer's span arena is checked against this index.
 type pairIndex struct {
 	n       int32
 	offsets []int32    // len n*n+1 in flat mode; nil in map mode
@@ -277,7 +274,7 @@ type ElongationPoint struct {
 // scratch's slot table and its window by a per-source cursor), into
 // per-lane partial sums that ObservePeriod folds in lane order —
 // bit-for-bit deterministic for any worker count, any spill cap, and
-// identical to the eager ElongationObserverReference.
+// identical to ElongationCurveReference.
 type ElongationObserver struct {
 	// SpillBytes caps the arena's resident bytes (Options.SpillBytes);
 	// set before the run begins. <= 0 keeps everything in RAM.
@@ -396,8 +393,9 @@ func (s *elongShard) ObserveTripBlock(block int, lanes [][]temporal.Trip) error 
 // ObservePeriod implements sweep.Observer: it folds the shard's
 // per-lane partial sums in lane (= destination) order, which is exactly
 // the floating-point summation order of a sequential destination-major
-// scan folding per-destination subtotals — so the mean matches the
-// eager reference bit for bit regardless of how blocks were scheduled.
+// scan folding per-destination subtotals — so the mean matches
+// ElongationCurveReference bit for bit regardless of how blocks were
+// scheduled.
 func (o *ElongationObserver) ObservePeriod(p *sweep.Period) error {
 	sh := p.Shard.(*elongShard)
 	pt := ElongationPoint{Delta: p.Delta}

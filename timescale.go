@@ -81,30 +81,29 @@
 //
 // # The streaming trip pipeline
 //
-// Observers that consume the raw stream's minimal trips have two
-// registration modes. The eager mode (SweepNeeds.StreamTrips) hands
-// Begin one flat slice of every trip — simple, but its residency is
-// O(total trips), and for long streams the trip population, not the
-// sweep, bounds memory. The streaming mode (SweepNeeds.StreamTripRuns,
-// observers implementing SweepTripRunObserver) instead delivers the
-// enumeration as per-destination runs in strictly increasing
-// destination order: each run is scored and recycled before the next
-// block of destinations is swept, so at most MaxInFlight destination
-// blocks of trips ever exist at once. The Section 8 validation
-// observers are built on it — the transition-loss observer keeps only
-// the two-hop spans, and the elongation observer encodes each run into
-// a delta-encoded pair-span arena — with the eager implementations
-// retained as bit-exact references.
+// Minimal trips reach observers one way per population, and neither is
+// ever held whole. The raw stream's trips (SweepNeeds.StreamTripRuns,
+// observers implementing SweepTripRunObserver) arrive as
+// per-destination runs in strictly increasing destination order: each
+// run is scored and recycled before the next block of destinations is
+// swept, so at most MaxInFlight destination blocks of trips ever exist
+// at once, instead of the O(total trips) a flat slice would hold. The
+// Section 8 validation observers are built on it — the transition-loss
+// observer keeps only the two-hop spans, and the elongation observer
+// encodes each run into a delta-encoded pair-span arena — and the seed
+// implementations (one temporal pass per metric) are retained as
+// bit-exact references.
 //
-// Per-period trip scans shard the same way: a SweepShardedTripObserver
-// (SweepNeeds.TripShards) receives one SweepTripShard per period, fed
-// one destination block at a time on the worker that swept it, with
-// per-lane partial sums folded in lane order — bit-for-bit identical
-// results for any worker count, without the period ever holding its
-// trips whole. Coinciding work across windowed segments is
-// deduplicated automatically: segments requesting the same (window, ∆)
-// share one layer arena and one backward sweep, and segments sharing an
-// event window share one raw-stream trip enumeration.
+// The trips of each G∆ are scored shard by shard: a
+// SweepShardedTripObserver (SweepNeeds.TripShards) receives one
+// SweepTripShard per period, fed one destination block at a time on
+// the worker that swept it, with per-lane partial sums folded in lane
+// order — bit-for-bit identical results for any worker count, and the
+// block is recycled as soon as every shard has seen it. Coinciding work
+// across windowed segments is deduplicated automatically: segments
+// requesting the same (window, ∆) share one layer arena and one
+// backward sweep, and segments sharing an event window share one
+// raw-stream trip enumeration.
 //
 // # Stream formats and out-of-core ingest
 //
