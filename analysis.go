@@ -33,9 +33,10 @@ var ErrNoEvents = errors.New("repro: stream has no events")
 // ErrPlanTooLarge is returned, wrapped with the offending option and
 // its bound, when an option whose value becomes an allocation size
 // exceeds its limit (MaxGridPoints, MaxRefine, MaxHistogramBins,
-// MaxAdaptiveBins). MaxGridPoints bounds explicit grids too: the
-// WithGrid grid and each Window.Grid may hold at most MaxGridPoints
-// periods, like a derived grid.
+// MaxAdaptiveBins, MaxWindows). MaxGridPoints bounds explicit grids
+// too: the WithGrid grid and each Window.Grid may hold at most
+// MaxGridPoints periods, like a derived grid. MaxWindows bounds the
+// number of WithWindows windows, each a scope with its own grid.
 var ErrPlanTooLarge = errors.New("repro: plan exceeds a size limit")
 
 // Limits on the options whose value becomes an allocation size: a
@@ -43,13 +44,15 @@ var ErrPlanTooLarge = errors.New("repro: plan exceeds a size limit")
 // and WithRefine's refinement grid), an explicit grid (WithGrid,
 // Window.Grid) one result slot and one period job per entry, and
 // histogram and adaptive bins size one counter array per period or per
-// stream. NewAnalysis rejects larger values, so an oversized spec fails
-// before any allocation.
+// stream, and every window is a scope with its own grid and results.
+// NewAnalysis rejects larger values, so an oversized spec fails before
+// any allocation.
 const (
 	MaxGridPoints    = 1 << 12
 	MaxRefine        = 1 << 12
 	MaxHistogramBins = 1 << 16
 	MaxAdaptiveBins  = 1 << 16
+	MaxWindows       = 1 << 12
 )
 
 // checkLimits enforces the allocation-size limits on the options.
@@ -68,6 +71,7 @@ func (c *planConfig) checkLimits() error {
 	}{
 		{"grid points", c.gridPoints, MaxGridPoints},
 		{"explicit grid length", len(c.grid), MaxGridPoints},
+		{"windows", len(c.windows), MaxWindows},
 		{"window grid length", windowGrid, MaxGridPoints},
 		{"refine", c.refine, MaxRefine},
 		{"histogram bins", c.histogramBins, MaxHistogramBins},

@@ -60,8 +60,9 @@ func TestNewAnalysisValidation(t *testing.T) {
 
 // TestNewAnalysisSizeLimits pins the allocation-size bounds: each
 // option is accepted at its limit and rejected with ErrPlanTooLarge one
-// past it, before any grid is built. Explicit grids are only tried one
-// past the limit: a test cannot build a 1<<30-entry slice.
+// past it, before any grid is built. Explicit grids and window lists
+// are only tried one past the limit: a test cannot build a 1<<30-entry
+// slice.
 func TestNewAnalysisSizeLimits(t *testing.T) {
 	s := uniformWorkload(t)
 	t0, t1, _ := s.Span()
@@ -72,6 +73,13 @@ func TestNewAnalysisSizeLimits(t *testing.T) {
 		}
 		return g
 	}
+	windows := func(n int) Option {
+		ws := make([]Window, n)
+		for i := range ws {
+			ws[i] = Window{Start: t0, End: t1 + 1, Grid: []int64{3600}}
+		}
+		return WithWindows(ws...)
+	}
 	for _, tc := range []struct {
 		name     string
 		opt      func(n int) Option
@@ -81,6 +89,7 @@ func TestNewAnalysisSizeLimits(t *testing.T) {
 		{"grid points", WithGridPoints, MaxGridPoints, false},
 		{"explicit grid", func(n int) Option { return WithGrid(grid(n)...) }, MaxGridPoints, true},
 		{"window grid", func(n int) Option { return WithWindows(Window{Start: t0, End: t1 + 1, Grid: grid(n)}) }, MaxGridPoints, true},
+		{"windows", windows, MaxWindows, true},
 		{"refine", WithRefine, MaxRefine, false},
 		{"histogram bins", WithHistogramBins, MaxHistogramBins, false},
 		{"adaptive bins", func(n int) Option { return WithAdaptive(AdaptiveConfig{Bins: n}) }, MaxAdaptiveBins, false},

@@ -454,6 +454,34 @@ func BenchmarkMKDistance(b *testing.B) {
 	}
 }
 
+// BenchmarkOccupancySampleFine and BenchmarkOccupancySampleCoarse
+// measure building the exact occupancy sample (dist.NewSample) alone,
+// in its two regimes: at the stream's resolution about half of the
+// occupancies are distinct, at one hour a few thousand values repeat
+// many times.
+func BenchmarkOccupancySampleFine(b *testing.B) {
+	s := irvineStream(b)
+	benchOccupancySample(b, s, s.Resolution())
+}
+
+func BenchmarkOccupancySampleCoarse(b *testing.B) {
+	benchOccupancySample(b, irvineStream(b), 3600)
+}
+
+func benchOccupancySample(b *testing.B, s *Stream, delta int64) {
+	s.Sort()
+	events := linkstream.Canonical(s.Events())
+	var scratch temporal.CSRScratch
+	c := temporal.BuildCSR(events, events[0].T, delta, &scratch)
+	occ := temporal.OccupanciesCSR(temporal.Config{N: s.NumNodes()}, c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dist.NewSample(occ); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAggregate measures window building and per-window dedup.
 func BenchmarkAggregate(b *testing.B) {
 	s := irvineStream(b)

@@ -20,15 +20,14 @@ var ErrEmptySample = errors.New("dist: empty sample")
 // Sample is an empirical distribution of occupancy rates, stored as
 // sorted distinct values with multiplicities. Occupancy populations are
 // huge and at coarse periods take few distinct values (hops/duration
-// ratios), so counting duplicates first and sorting only the distinct
-// values is much faster than sorting the raw multiset — the raw sort
-// dominated whole-sweep profiles before. Small-∆ periods are far more
-// diverse: at ∆ = 1 on the paper-batch benchmark stream (seed 1),
-// 1,022,791 of 2,046,049 values are distinct, so the counter grows and
-// the sort of distinct values still does real work. Values are keyed
-// by value, not by bit pattern (-0 and +0 are one value). All scoring
-// methods assume the support is [0,1], which holds for occupancy rates
-// by Definition 7.
+// ratios), so NewSampleFromChunks counts duplicates in a hash table and
+// sorts only the distinct values. Small-∆ periods are far more diverse:
+// at ∆ = 1 on the paper-batch benchmark stream (seed 1), 1,022,791 of
+// 2,046,049 values are distinct, so the table grows to 2^21 slots and
+// the sort orders a million keys, in at most eight linear radix passes.
+// Values are keyed by value, not by bit pattern (-0 and +0 are one
+// value). All scoring methods assume the support is [0,1], which holds
+// for occupancy rates by Definition 7.
 type Sample struct {
 	values []float64 // sorted distinct values
 	cum    []int64   // cum[i] = number of sample points <= values[i]
@@ -36,9 +35,10 @@ type Sample struct {
 	sum    float64
 }
 
-// NewSample builds the distribution of values. The multiset is counted
-// through a hash on the float bits (no full sort); the input slice is
-// not retained. An empty or non-finite sample is rejected.
+// NewSample builds the distribution of values: the multiset is counted
+// by a hash on the float bits, and only the distinct values are sorted.
+// The input slice is not retained. An empty or non-finite sample is
+// rejected.
 func NewSample(values []float64) (*Sample, error) {
 	if len(values) == 0 {
 		return nil, ErrEmptySample
@@ -50,7 +50,11 @@ func NewSample(values []float64) (*Sample, error) {
 // list of value chunks with total values overall, counting each chunk
 // in place — the streaming entry point of the sweep pipeline, which
 // hands over its workers' occupancy chunks without ever concatenating
-// them. The chunks are not retained.
+// them. The chunks are not retained. Every value is counted under an
+// order-preserving key of its bits, the counter's distinct (key, count)
+// pairs are radix-sorted by key, and values, cum and sum are filled in
+// that ascending order: the same bits a sort of the raw multiset
+// followed by a run-length count gives.
 func NewSampleFromChunks(total int, chunks [][]float64) (*Sample, error) {
 	if total == 0 {
 		return nil, ErrEmptySample
@@ -67,95 +71,140 @@ func NewSampleFromChunks(total int, chunks [][]float64) (*Sample, error) {
 			if k == negZero { // a Sample is keyed by value: -0 counts as +0
 				k = 0
 			}
-			m.add(k)
+			m.add(orderedKey(k))
 		}
 	}
-	// The counter's keys are the distinct values; sorting them alone and
-	// reading each count back from the counter keeps every ascending
-	// accumulation (cum, sum) in the order a full sort would give.
-	s := &Sample{values: make([]float64, 0, m.used), n: int64(total)}
-	for i, c := range m.cnts {
-		if c != 0 {
-			s.values = append(s.values, math.Float64frombits(m.keys[i]))
-		}
-	}
-	sort.Float64s(s.values)
-	s.cum = make([]int64, len(s.values))
+	distinct := m.sorted()
+	s := &Sample{values: make([]float64, len(distinct)), cum: make([]int64, len(distinct)), n: int64(total)}
 	var cum int64
-	for i, v := range s.values {
-		c := m.count(math.Float64bits(v))
-		cum += c
+	for i, e := range distinct {
+		v := math.Float64frombits(floatBits(e.key))
+		cum += e.cnt
+		s.values[i] = v
 		s.cum[i] = cum
-		s.sum += v * float64(c)
+		s.sum += v * float64(e.cnt)
 	}
 	return s, nil
 }
 
-// f64Counter is a linear-probing multiset counter keyed by float bits.
-type f64Counter struct {
-	keys []uint64
-	cnts []int64
-	used int
+// orderedKey maps the bits of a finite float to a key whose unsigned
+// order is the float order: a negative float flips every bit, a
+// non-negative one sets the sign bit. floatBits inverts it.
+func orderedKey(bits uint64) uint64 {
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
 }
+
+func floatBits(key uint64) uint64 {
+	return key ^ (uint64(int64(^key)>>63) | 1<<63)
+}
+
+// f64Counter is a linear-probing multiset counter of ordered keys. A
+// key's home slot is the top log2(len(slots)) bits of its Fibonacci
+// hash, which mix every bit of the key: the low bits of the product
+// would depend on the low mantissa bits only, and cluster the
+// few-hundred-value samples of coarse periods. Key and count share a
+// slot, so a probe touches one cache line.
+type f64Counter struct {
+	slots []counterSlot
+	shift uint // 64 - log2(len(slots))
+	used  int
+}
+
+type counterSlot struct {
+	key uint64
+	cnt int64 // 0 marks an empty slot
+}
+
+const fibonacci = 0x9E3779B97F4A7C15
 
 // newF64Counter starts deliberately small: coarse-period occupancy
 // populations have few distinct values, and a small table stays
 // cache-resident through millions of adds. Diverse inputs (small-∆
 // periods) pay a few amortised rehashes.
 func newF64Counter() *f64Counter {
-	const size = 1024
-	return &f64Counter{keys: make([]uint64, size), cnts: make([]int64, size)}
+	const logSize = 10
+	return &f64Counter{slots: make([]counterSlot, 1<<logSize), shift: 64 - logSize}
 }
 
 func (m *f64Counter) add(key uint64) {
-	mask := uint64(len(m.keys) - 1)
-	i := (key * 0x9E3779B97F4A7C15) & mask
-	for {
-		if m.cnts[i] == 0 {
-			m.keys[i] = key
-			m.cnts[i] = 1
+	mask := uint64(len(m.slots) - 1)
+	for i := (key * fibonacci) >> m.shift; ; i = (i + 1) & mask {
+		s := &m.slots[i]
+		if s.cnt == 0 {
+			*s = counterSlot{key, 1}
 			m.used++
-			if 4*m.used > 3*len(m.keys) {
+			if 4*m.used > 3*len(m.slots) {
 				m.grow()
 			}
 			return
 		}
-		if m.keys[i] == key {
-			m.cnts[i]++
+		if s.key == key {
+			s.cnt++
 			return
 		}
-		i = (i + 1) & mask
 	}
-}
-
-// count returns key's multiplicity, 0 if it was never added.
-func (m *f64Counter) count(key uint64) int64 {
-	mask := uint64(len(m.keys) - 1)
-	for i := (key * 0x9E3779B97F4A7C15) & mask; m.cnts[i] != 0; i = (i + 1) & mask {
-		if m.keys[i] == key {
-			return m.cnts[i]
-		}
-	}
-	return 0
 }
 
 func (m *f64Counter) grow() {
-	old := *m
-	m.keys = make([]uint64, 2*len(old.keys))
-	m.cnts = make([]int64, 2*len(old.cnts))
-	mask := uint64(len(m.keys) - 1)
-	for i, c := range old.cnts {
-		if c == 0 {
+	old := m.slots
+	m.slots = make([]counterSlot, 2*len(old))
+	m.shift--
+	mask := uint64(len(m.slots) - 1)
+	for _, s := range old {
+		if s.cnt == 0 {
 			continue
 		}
-		key := old.keys[i]
-		j := (key * 0x9E3779B97F4A7C15) & mask
-		for m.cnts[j] != 0 {
+		j := (s.key * fibonacci) >> m.shift
+		for m.slots[j].cnt != 0 {
 			j = (j + 1) & mask
 		}
-		m.keys[j] = key
-		m.cnts[j] = c
+		m.slots[j] = s
 	}
+}
+
+// sorted moves the occupied slots to the front of the table and returns
+// them in ascending key order, by an LSD radix sort over the key bytes
+// that skips every byte position all keys share. The counter is spent.
+func (m *f64Counter) sorted() []counterSlot {
+	var counts [8][256]int // counts[b][d]: keys whose byte b is d
+	a := m.slots[:0]
+	for _, s := range m.slots {
+		if s.cnt != 0 {
+			a = append(a, s)
+			for b := range counts {
+				counts[b][byte(s.key>>(8*b))]++
+			}
+		}
+	}
+	if len(a) < 2 {
+		return a
+	}
+	// The passes alternate between the front of the table and a scratch
+	// run of as many slots: the table's free tail when it is long
+	// enough (load at most 1/2), else a new slice.
+	buf := m.slots[len(a):]
+	if len(buf) < len(a) {
+		buf = make([]counterSlot, len(a))
+	}
+	buf = buf[:len(a)]
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(a[0].key>>(8*b))] == len(a) {
+			continue
+		}
+		off := 0
+		for d, n := range c {
+			c[d] = off
+			off += n
+		}
+		for _, s := range a {
+			d := byte(s.key >> (8 * b))
+			buf[c[d]] = s
+			c[d]++
+		}
+		a, buf = buf, a
+	}
+	return a
 }
 
 // N returns the number of values in the sample (multiplicities

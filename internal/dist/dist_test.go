@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -117,6 +119,97 @@ func TestSampleHighDistinct(t *testing.T) {
 	if got, want := math.Float64bits(s.Mean()), math.Float64bits(sum/n); got != want {
 		t.Fatalf("mean bits %#x, oracle %#x", got, want)
 	}
+}
+
+// FuzzNewSampleFromChunks reads its input as little-endian float64 bit
+// patterns, split into chunks where split has a bit set, and checks the
+// sample against an oracle that sorts the raw multiset with
+// sort.Float64s and run-length counts it, -0 folded into +0: values and
+// sum bit for bit, cum and N exactly. Any NaN or ±Inf must be an error.
+func FuzzNewSampleFromChunks(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(bits(-0.5, 0.25, -3, 1e300, -1e-300, 0.25, -0.5), uint64(0))
+	f.Add(bits(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1060, 0), uint64(5))
+	f.Add(bits(math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, 1, -1), uint64(2))
+	f.Add(bits(0, negZero, negZero, 0, 0.5, negZero), uint64(0b1010))
+	f.Add(bits(0.5, 0.25, 0.75, 0.5, 0.125, 0.25, 0.5, 0.75, 0.5, 1, 0.125), uint64(0x55))
+	f.Add(bits(0.5, math.Inf(1)), uint64(1))
+	f.Add(bits(math.Inf(-1)), uint64(0))
+	f.Add(bits(0.25, math.NaN(), 0.25), uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, split uint64) {
+		var raw []float64
+		var chunks [][]float64
+		start := 0
+		for i := 0; 8*(i+1) <= len(data); i++ {
+			raw = append(raw, math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
+			if split>>(i%64)&1 == 1 {
+				chunks = append(chunks, raw[start:])
+				start = len(raw)
+			}
+		}
+		chunks = append(chunks, raw[start:])
+		s, err := NewSampleFromChunks(len(raw), chunks)
+
+		finite := true
+		for _, v := range raw {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		switch {
+		case len(raw) == 0:
+			if !errors.Is(err, ErrEmptySample) {
+				t.Fatalf("empty input: error %v, want ErrEmptySample", err)
+			}
+			return
+		case !finite:
+			if err == nil {
+				t.Fatalf("non-finite input %v accepted", raw)
+			}
+			return
+		case err != nil:
+			t.Fatal(err)
+		}
+
+		sorted := make([]float64, len(raw))
+		for i, v := range raw {
+			sorted[i] = v + 0 // -0 + 0 = +0: fold -0 into +0
+		}
+		sort.Float64s(sorted)
+		var values []float64
+		var cum []int64
+		sum := 0.0
+		for i := 0; i < len(sorted); {
+			j := i
+			for j < len(sorted) && sorted[j] == sorted[i] {
+				j++
+			}
+			values = append(values, sorted[i])
+			cum = append(cum, int64(j))
+			sum += sorted[i] * float64(j-i)
+			i = j
+		}
+
+		if s.N() != len(raw) {
+			t.Fatalf("N = %d, want %d", s.N(), len(raw))
+		}
+		if len(s.values) != len(values) {
+			t.Fatalf("%d distinct values, oracle %d", len(s.values), len(values))
+		}
+		for i, v := range values {
+			if math.Float64bits(s.values[i]) != math.Float64bits(v) || s.cum[i] != cum[i] {
+				t.Fatalf("value %d = %v (cum %d), oracle %v (cum %d)", i, s.values[i], s.cum[i], v, cum[i])
+			}
+		}
+		if got, want := math.Float64bits(s.sum), math.Float64bits(sum); got != want {
+			t.Fatalf("sum bits %#x, oracle %#x", got, want)
+		}
+	})
 }
 
 func TestSampleWeightedBasics(t *testing.T) {

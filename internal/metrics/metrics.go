@@ -19,7 +19,7 @@
 //
 // Each observer's curve (value vs ∆) carries a stability score per
 // series — the plateau detector time-scale selection reads — built
-// from the same Milnor–Kauffman proximity the paper's Section 7
+// from the same Monge–Kantorovich proximity the paper's Section 7
 // selectors rank distributions with; see Stability.
 //
 // Results are deterministic: each period is scored by exactly one
@@ -156,7 +156,7 @@ func (c Curve) Get(name string) (Series, bool) {
 
 // Stability scores how strongly a value-vs-∆ series plateaus, on
 // [0, 1]. The series is min-max normalised onto [0, 1] and scored with
-// the complement of the Milnor–Kauffman proximity the Section 7
+// the complement of the Monge–Kantorovich proximity the Section 7
 // selectors use: a constant series (everything on the plateau) scores
 // 1, a series whose values spread uniformly across their own range (no
 // scale is special) scores ~0, and a two-level step — half the grid on

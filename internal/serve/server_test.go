@@ -333,9 +333,10 @@ func TestServerErrorMapping(t *testing.T) {
 }
 
 // TestServerRejectsOversizedPlan: a spec whose grid_points would size a
-// billion-slot candidate grid, or whose explicit grid lists one period
-// more than repro.MaxGridPoints, is refused at submit with a 400 naming
-// the bound, before any engine run.
+// billion-slot candidate grid, whose explicit grid lists one period
+// more than repro.MaxGridPoints, or which lists one window more than
+// repro.MaxWindows, is refused at submit with a 400 naming the bound,
+// before any engine run.
 func TestServerRejectsOversizedPlan(t *testing.T) {
 	ts, q := testServer(t, QueueConfig{})
 	points := smallSpec(t, 3)
@@ -345,12 +346,17 @@ func TestServerRejectsOversizedPlan(t *testing.T) {
 	for i := int64(1); i <= repro.MaxGridPoints+1; i++ {
 		explicit.Grid = append(explicit.Grid, i)
 	}
+	windows := smallSpec(t, 3) // each window covers the whole inline stream
+	for i := 0; i <= repro.MaxWindows; i++ {
+		windows.Windows = append(windows.Windows, repro.Window{Start: 0, End: 20_001, Grid: []int64{3600}})
+	}
 	for _, tc := range []struct {
 		spec  *repro.PlanSpec
 		field string
 	}{
 		{points, "grid points"},
 		{explicit, "explicit grid length"},
+		{windows, "windows"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", submitBody(t, tc.spec))
 		if err != nil {
