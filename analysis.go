@@ -630,7 +630,6 @@ func (p *Plan) localRound(stats *EngineStats) roundExecutor {
 		Workers:       c.workers,
 		MaxInFlight:   c.maxInFlight,
 		HistogramBins: c.histogramBins,
-		LaneWidth:     c.laneWidth,
 		Stats:         stats,
 	}
 	return func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error) {

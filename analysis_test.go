@@ -175,6 +175,10 @@ func TestPlanRunAllMetricsReport(t *testing.T) {
 	if st.StreamBuilds != 1 {
 		t.Fatalf("StreamBuilds = %d, want 1 (loss and elongation share the enumeration)", st.StreamBuilds)
 	}
+	// Every arena the two passes handed out came back.
+	if st.ArenaHanded == 0 || st.ArenaHanded != st.ArenaRecycled {
+		t.Fatalf("arena accounting off: %+v", st)
+	}
 }
 
 func TestPlanRunWindows(t *testing.T) {
@@ -366,42 +370,5 @@ func TestPlanRerun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Occupancy(), second.Occupancy()) {
 		t.Fatal("re-running an identical plan changed the results")
-	}
-}
-
-// TestPlanLaneWidth pins the lane-width knob at the plan level: every
-// lane width returns the identical refined report in the same two
-// engine passes, and the run's arena accounting balances.
-func TestPlanLaneWidth(t *testing.T) {
-	s := twoModeWorkload(t)
-	if _, err := NewAnalysis(s, WithLaneWidth(3)); err == nil {
-		t.Fatal("lane width 3 must be rejected")
-	}
-	run := func(opts ...Option) *Report {
-		t.Helper()
-		plan, err := NewAnalysis(s, append([]Option{WithGridPoints(10), WithRefine(3)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := plan.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	ref := run()
-	for _, width := range []int{4, 8} {
-		rep := run(WithLaneWidth(width))
-		if !reflect.DeepEqual(rep.Occupancy(), ref.Occupancy()) || rep.Gamma() != ref.Gamma() {
-			t.Fatalf("width %d: report diverged from default width", width)
-		}
-		st := rep.EngineStats()
-		if st.ArenaHanded == 0 || st.ArenaHanded != st.ArenaRecycled {
-			t.Fatalf("width %d: arena accounting off: %+v", width, st)
-		}
-		// Refinement is exactly one extra engine pass.
-		if st.Passes != 2 || ref.EngineStats().Passes != 2 {
-			t.Fatalf("width %d: refined run took %d passes (default width %d), want 2", width, st.Passes, ref.EngineStats().Passes)
-		}
 	}
 }

@@ -322,27 +322,23 @@ func BenchmarkMultiSweepSeparateWrappers(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepLanes4 vs BenchmarkSweepLanes8: the hardware-width
-// relax/commit kernels on the same fused all-metrics pass. Results are
-// bit-identical (the width equivalence suites pin that); the delta is
-// pure kernel throughput — register pressure and cache-line use of the
-// lane-major state blocks. CI pairs the two so neither width silently
-// regresses against the other.
-func benchSweepLanes(b *testing.B, width int) {
+// BenchmarkSweepLanes8: the 8-lane relax/commit kernel on a fused
+// occupancy and classic pass over six periods of the Irvine stand-in —
+// kernel throughput, register pressure and cache-line use of the
+// lane-major state blocks. The name predates the single kernel width
+// and is kept so the baseline comparison still finds it.
+func BenchmarkSweepLanes8(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		occ := core.NewOccupancyObserver(nil)
 		cls := classic.NewObserver()
-		if err := sweep.Run(context.Background(), s, grid, sweep.Options{LaneWidth: width}, occ, cls); err != nil {
+		if err := sweep.Run(context.Background(), s, grid, sweep.Options{}, occ, cls); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkSweepLanes4(b *testing.B) { benchSweepLanes(b, 4) }
-func BenchmarkSweepLanes8(b *testing.B) { benchSweepLanes(b, 8) }
 
 // BenchmarkStreamingTrips: the raw-stream trip runs and the sharded
 // per-period trip scans feeding the Section 8 validation observers in

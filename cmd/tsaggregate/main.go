@@ -10,10 +10,10 @@
 //	tsaggregate -delta 3600 -dump < stream.txt
 //	tsaggregate -delta 3600 -metrics degree,weighted < stream.txt
 //
-// The engine flags -workers, -max-inflight and -lane-width are the
-// shared internal/cli bindings — they mean exactly what they mean on
-// tsscale and tsvalidate, shape only the -metrics engine pass, and
-// never change results.
+// The engine flags -workers and -max-inflight are the shared
+// internal/cli bindings — they mean exactly what they mean on tsscale
+// and tsvalidate, shape only the -metrics engine pass, and never change
+// results.
 package main
 
 import (
@@ -57,9 +57,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	metricsFlag := fs.String("metrics", "",
 		"comma-separated snapshot metrics computed at -delta in one engine pass: "+
 			"degree,clustering,components,coreness,weighted (see docs/METRICS.md)")
-	var workers, maxInFlight, laneWidth int
+	var workers, maxInFlight int
 	cli.BindEngine(fs, &workers, &maxInFlight)
-	cli.BindLaneWidth(fs, &laneWidth)
 	engineStats := fs.Bool("engine-stats", false,
 		"print the engine's instrumentation after the -metrics pass (no engine runs without -metrics)")
 	if err := fs.Parse(args); err != nil {
@@ -126,7 +125,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			repro.WithDirected(*directed),
 			repro.WithWorkers(workers),
 			repro.WithMaxInFlight(maxInFlight),
-			repro.WithLaneWidth(laneWidth),
 			repro.WithGrid(*delta),
 			repro.WithMetrics(metrics...),
 		)

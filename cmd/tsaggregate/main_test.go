@@ -69,7 +69,7 @@ func TestAggregateErrors(t *testing.T) {
 func TestAggregateMetrics(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-delta", "100", "-metrics", "degree,weighted",
-		"-workers", "2", "-max-inflight", "1", "-lane-width", "4", "-engine-stats"},
+		"-workers", "2", "-max-inflight", "1", "-engine-stats"},
 		strings.NewReader(sample), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -98,12 +98,5 @@ func TestAggregateMetricsRejectsSweepMetrics(t *testing.T) {
 	}
 	if err := run([]string{"-delta", "100", "-metrics", "vibes"}, strings.NewReader(sample), &out); err == nil {
 		t.Fatal("unknown metric accepted")
-	}
-}
-
-func TestAggregateBadLaneWidth(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-delta", "100", "-metrics", "degree", "-lane-width", "5"}, strings.NewReader(sample), &out); err == nil {
-		t.Fatal("lane width 5 accepted")
 	}
 }

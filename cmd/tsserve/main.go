@@ -21,9 +21,9 @@
 //
 // Coinciding submits — same stream fingerprint, same result-affecting
 // knobs — cost one engine run: later ones coalesce onto the in-flight
-// run or hit the result cache. Execution hints (workers, lane width,
-// in-flight budget) never split the cache, because the engine pins
-// results bit-identical across them.
+// run or hit the result cache. Execution hints (workers, in-flight
+// budget) never split the cache, because the engine pins results
+// bit-identical across them.
 //
 // Distributed execution builds on the same process in two roles:
 //
@@ -89,7 +89,6 @@ func run(args []string, logw *os.File) error {
 			Retries:      f.ShardRetries,
 			Workers:      f.Workers,
 			MaxInFlight:  f.MaxInFlight,
-			LaneWidth:    f.LaneWidth,
 		}).Handler()
 	} else {
 		queue := serve.NewQueue(serve.QueueConfig{
@@ -99,7 +98,6 @@ func run(args []string, logw *os.File) error {
 			StreamRoot:         f.StreamRoot,
 			DefaultWorkers:     f.Workers,
 			DefaultMaxInFlight: f.MaxInFlight,
-			DefaultLaneWidth:   f.LaneWidth,
 		})
 		defer queue.Close()
 		handler = serve.NewServer(queue)

@@ -228,25 +228,23 @@ func TestAnalyzeWithGlobalObservers(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRefinedLaneWidthsMatchReference pins the refined plan:
+// TestAnalyzeRefinedTwoPassesMatchReference pins the refined plan:
 // batching the refinement grids of every active search into one
 // second pass returns exactly the reference analysis (which drives the
-// same searches one stream at a time), for every lane width.
-func TestAnalyzeRefinedLaneWidthsMatchReference(t *testing.T) {
+// same searches one stream at a time) in exactly two engine passes.
+func TestAnalyzeRefinedTwoPassesMatchReference(t *testing.T) {
 	s := heteroStream(t, 2)
 	cfg := adaptive.Config{Bins: 60}
 	want, err := adaptive.AnalyzeReference(s, cfg, core.Options{Refine: 3, Workers: 2}, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{0, 4, 8} {
-		rep := runPlan(t, s, cfg, repro.WithGridPoints(8), repro.WithRefine(3), repro.WithWorkers(2), repro.WithLaneWidth(width))
-		if got := rep.Adaptive(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("width=%d: refined adaptive plan diverged:\n got %+v\nwant %+v", width, got, want)
-		}
-		if passes := rep.EngineStats().Passes; passes != 2 {
-			t.Fatalf("width=%d: refined adaptive plan performed %d engine passes, want 2", width, passes)
-		}
+	rep := runPlan(t, s, cfg, repro.WithGridPoints(8), repro.WithRefine(3), repro.WithWorkers(2))
+	if got := rep.Adaptive(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refined adaptive plan diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if passes := rep.EngineStats().Passes; passes != 2 {
+		t.Fatalf("refined adaptive plan performed %d engine passes, want 2", passes)
 	}
 }
 

@@ -29,7 +29,6 @@ type Flags struct {
 	MinDelta    int64
 	Workers     int
 	MaxInFlight int
-	LaneWidth   int
 	Metrics     string
 	EngineStats bool
 }
@@ -58,7 +57,6 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.Int64Var(&f.MinDelta, "min", 0, "smallest candidate period (default: stream resolution)")
 	fs.StringVar(&f.Metrics, "metrics", d.Metrics, d.MetricsHelp)
 	BindEngine(fs, &f.Workers, &f.MaxInFlight)
-	BindLaneWidth(fs, &f.LaneWidth)
 	fs.BoolVar(&f.EngineStats, "engine-stats", false,
 		"print the engine's instrumentation after the run (period CSR builds, dedup hits, stream enumerations, peak resident periods, arena reuse)")
 	return f
@@ -73,19 +71,11 @@ func BindEngine(fs *flag.FlagSet, workers, maxInFlight *int) {
 		"max aggregation periods resident in the sweep engine (0 = engine default)")
 }
 
-// BindLaneWidth registers the -lane-width flag with the shared usage
-// text, so every command that exposes the knob describes it
-// identically.
-func BindLaneWidth(fs *flag.FlagSet, laneWidth *int) {
-	fs.IntVar(laneWidth, "lane-width", 0,
-		"destinations relaxed per sweep pass: 4 or 8 (0 = architecture default); every width is bit-identical")
-}
-
 // ServeFlags is the flag surface of the serving commands (tsserve):
 // where to listen, where stream refs resolve, the queue's budgets, and
 // the engine defaults filled into specs that leave theirs zero. The
-// engine flags reuse the exact analysis-command bindings (BindEngine,
-// -lane-width), so operator budgets cannot drift from the CLI surface.
+// engine flags reuse the exact analysis-command binding (BindEngine),
+// so operator budgets cannot drift from the CLI surface.
 type ServeFlags struct {
 	Addr         string
 	StreamRoot   string
@@ -94,7 +84,6 @@ type ServeFlags struct {
 	CacheEntries int
 	Workers      int
 	MaxInFlight  int
-	LaneWidth    int
 
 	// Distributed-execution surface. Coordinator switches the process
 	// into coordinator mode; Join/Advertise/Name make it a worker that
@@ -119,8 +108,6 @@ func BindServe(fs *flag.FlagSet) *ServeFlags {
 	fs.IntVar(&f.TenantBudget, "tenant-budget", 0, "max concurrently executing runs per tenant (0 = 2)")
 	fs.IntVar(&f.CacheEntries, "cache-entries", 0, "completed results retained for cache hits (0 = 128)")
 	BindEngine(fs, &f.Workers, &f.MaxInFlight)
-	fs.IntVar(&f.LaneWidth, "lane-width", 0,
-		"default destinations relaxed per sweep pass for specs that leave lane_width unset: 4 or 8 (0 = architecture default)")
 	fs.BoolVar(&f.Coordinator, "coordinator", false,
 		"serve as a shard coordinator: partition jobs across registered workers and fold their partials (byte-identical to a local run)")
 	fs.StringVar(&f.Join, "join", "",
@@ -184,7 +171,6 @@ func (f *Flags) PlanOptions(metrics ...repro.Metric) []repro.Option {
 		repro.WithDirected(f.Directed),
 		repro.WithWorkers(f.Workers),
 		repro.WithMaxInFlight(f.MaxInFlight),
-		repro.WithLaneWidth(f.LaneWidth),
 		repro.WithGridPoints(f.Points),
 		repro.WithMinDelta(f.MinDelta),
 		repro.WithElongationSpill(f.ElongSpill),

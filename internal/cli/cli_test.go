@@ -24,13 +24,10 @@ func TestBindDefaultsAndOverrides(t *testing.T) {
 	if f.Points != 48 || f.Metrics != "occupancy" || f.Directed || f.MaxInFlight != 0 {
 		t.Fatalf("defaults: %+v", f)
 	}
-	if f.LaneWidth != 0 {
-		t.Fatalf("defaults: %+v", f)
-	}
 	f = bindFor(t, "-directed", "-points", "12", "-min", "60", "-workers", "3",
-		"-max-inflight", "2", "-lane-width", "4", "-metrics", "loss", "-engine-stats")
+		"-max-inflight", "2", "-metrics", "loss", "-engine-stats")
 	if !f.Directed || f.Points != 12 || f.MinDelta != 60 || f.Workers != 3 ||
-		f.MaxInFlight != 2 || f.LaneWidth != 4 || f.Metrics != "loss" || !f.EngineStats {
+		f.MaxInFlight != 2 || f.Metrics != "loss" || !f.EngineStats {
 		t.Fatalf("overrides: %+v", f)
 	}
 }
@@ -132,24 +129,14 @@ func TestEngineStatsLine(t *testing.T) {
 
 // TestErrorPaths is the table-driven flag→option error surface: every
 // misuse of the shared flags must fail at the layer that owns it —
-// parse time for malformed values, Input for conflicting sources, plan
-// construction for values the engine rejects — with an error naming
-// the problem.
+// parse time for malformed values, Input for conflicting sources,
+// ParseMetrics for unknown metric names — with an error naming the
+// problem.
 func TestErrorPaths(t *testing.T) {
-	stream := func(t *testing.T) *repro.Stream {
-		t.Helper()
-		s := repro.NewStream()
-		for i := int64(0); i < 20; i++ {
-			if err := s.Add("a", "b", i*13%200+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
 	cases := []struct {
 		name    string
 		args    []string
-		stage   string // "parse" | "input" | "metrics" | "plan"
+		stage   string // "parse" | "input" | "metrics"
 		wantSub string
 	}{
 		{
@@ -163,18 +150,6 @@ func TestErrorPaths(t *testing.T) {
 			args:    []string{"-metrics", "vibes"},
 			stage:   "metrics",
 			wantSub: "vibes",
-		},
-		{
-			name:    "invalid lane width",
-			args:    []string{"-lane-width", "5"},
-			stage:   "plan",
-			wantSub: "lane width 5",
-		},
-		{
-			name:    "negative lane width",
-			args:    []string{"-lane-width", "-4"},
-			stage:   "plan",
-			wantSub: "lane width",
 		},
 		{
 			name:    "non-numeric points",
@@ -219,8 +194,6 @@ func TestErrorPaths(t *testing.T) {
 				_, _, err = f.Input(strings.NewReader(""))
 			case "metrics":
 				_, err = f.ParseMetrics([]repro.Metric{repro.MetricOccupancy}, nil)
-			case "plan":
-				_, err = repro.NewAnalysis(stream(t), f.PlanOptions(repro.MetricOccupancy)...)
 			default:
 				t.Fatalf("unknown stage %q", tc.stage)
 			}
@@ -249,13 +222,13 @@ func TestBindServeDefaults(t *testing.T) {
 	f = BindServe(fs)
 	err := fs.Parse([]string{"-addr", ":0", "-stream-root", "/srv/streams",
 		"-max-jobs", "9", "-tenant-budget", "3", "-cache-entries", "7",
-		"-workers", "2", "-max-inflight", "1", "-lane-width", "8"})
+		"-workers", "2", "-max-inflight", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Addr != ":0" || f.StreamRoot != "/srv/streams" || f.MaxJobs != 9 ||
 		f.TenantBudget != 3 || f.CacheEntries != 7 || f.Workers != 2 ||
-		f.MaxInFlight != 1 || f.LaneWidth != 8 {
+		f.MaxInFlight != 1 {
 		t.Fatalf("overrides: %+v", f)
 	}
 }

@@ -58,11 +58,6 @@ type Options struct {
 	// selects the engine default. Peak sweep memory is
 	// O(MaxInFlight × period footprint) instead of O(grid).
 	MaxInFlight int
-	// LaneWidth pins the engine's destination-lane width: 0 picks the
-	// architecture default, 4 and 8 force that many destinations per
-	// relax pass. Every width produces bit-identical results; see
-	// sweep.Options.LaneWidth.
-	LaneWidth int
 }
 
 func (o Options) selectors() []dist.Selector {
@@ -317,7 +312,6 @@ func (o Options) engineOptions() sweep.Options {
 		Workers:       o.Workers,
 		MaxInFlight:   o.MaxInFlight,
 		HistogramBins: o.HistogramBins,
-		LaneWidth:     o.LaneWidth,
 	}
 }
 

@@ -41,12 +41,11 @@ type Config struct {
 	// http.DefaultClient. Per-attempt timeouts come from ShardTimeout,
 	// not the client.
 	Client *http.Client
-	// Workers, MaxInFlight and LaneWidth fill the execution hints of
-	// jobs that leave them 0, exactly like a queue's defaults. They
-	// never affect results.
+	// Workers and MaxInFlight fill the execution hints of jobs that
+	// leave them 0, exactly like a queue's defaults. They never affect
+	// results.
 	Workers     int
 	MaxInFlight int
-	LaneWidth   int
 }
 
 // Stats counts a coordinator's lifetime activity — the distributed
@@ -171,9 +170,6 @@ func (c *Coordinator) resolveSpec(spec *repro.PlanSpec) (resolved *repro.PlanSpe
 	}
 	if out.MaxInFlight == 0 {
 		out.MaxInFlight = c.cfg.MaxInFlight
-	}
-	if out.LaneWidth == 0 {
-		out.LaneWidth = c.cfg.LaneWidth
 	}
 	if spec.Stream == nil {
 		return &out, "", nil

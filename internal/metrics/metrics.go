@@ -25,11 +25,11 @@
 // Results are deterministic: each period is scored by exactly one
 // engine task, windows accumulate in window order, and integer-derived
 // quantities are exact — so every curve is bit-identical across worker
-// counts, lane widths and in-flight budgets. Against the naive
-// per-snapshot references (reference.go) the integer-derived fields
-// match bit-exactly and the float-summed ones (entropies, clustering)
-// to 1e-12 relative tolerance, since the two sides may sum per-node
-// terms in different orders.
+// counts and in-flight budgets. Against the naive per-snapshot
+// references (reference.go) the integer-derived fields match
+// bit-exactly and the float-summed ones (entropies, clustering) to
+// 1e-12 relative tolerance, since the two sides may sum per-node terms
+// in different orders.
 package metrics
 
 import (

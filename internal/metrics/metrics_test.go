@@ -126,12 +126,12 @@ func compareToReference(t *testing.T, got, want engineResult) {
 
 // TestObserversMatchReferences is the acceptance matrix: every metric
 // vs its naive per-snapshot reference across 3 seeds × directed /
-// undirected × worker counts × lane widths, all five computed in one
-// engine pass per knob setting, and the engine output bit-identical
+// undirected × worker counts × in-flight budgets, all five computed in
+// one engine pass per knob setting, and the engine output bit-identical
 // across all knob settings.
 func TestObserversMatchReferences(t *testing.T) {
 	grid := []int64{250, 700, 1600, 4000, 9000, 20000}
-	knobs := []struct{ workers, lane int }{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
+	knobs := []struct{ workers, maxInFlight int }{{1, 1}, {1, 0}, {3, 1}, {3, 0}}
 	for _, seed := range []int64{101, 202, 303} {
 		s, err := synth.TimeUniform(synth.TimeUniformConfig{Nodes: 12, LinksPerPair: 5, T: 20_000, Seed: seed})
 		if err != nil {
@@ -141,7 +141,7 @@ func TestObserversMatchReferences(t *testing.T) {
 			ref := references(t, s, grid, directed)
 			var base engineResult
 			for ki, knob := range knobs {
-				opt := sweep.Options{Directed: directed, Workers: knob.workers, LaneWidth: knob.lane}
+				opt := sweep.Options{Directed: directed, Workers: knob.workers, MaxInFlight: knob.maxInFlight}
 				got := runAll(t, s, grid, opt)
 				if ki == 0 {
 					base = got
@@ -155,8 +155,8 @@ func TestObserversMatchReferences(t *testing.T) {
 						}
 					}
 				} else if !reflect.DeepEqual(got, base) {
-					t.Errorf("seed %d directed=%v: workers=%d lane=%d output differs from workers=%d lane=%d — curves must be bit-identical across engine knobs",
-						seed, directed, knob.workers, knob.lane, knobs[0].workers, knobs[0].lane)
+					t.Errorf("seed %d directed=%v: workers=%d max-inflight=%d output differs from workers=%d max-inflight=%d — curves must be bit-identical across engine knobs",
+						seed, directed, knob.workers, knob.maxInFlight, knobs[0].workers, knobs[0].maxInFlight)
 				}
 			}
 		}

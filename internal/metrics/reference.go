@@ -16,7 +16,7 @@ import (
 // O(n²) peeling), average over all windows. They are O(grid × windows
 // × n²) and exist to be slow, simple and obviously correct; the
 // equivalence and brute-force suites compare the observers against
-// them across seeds × orientations × workers × lane widths.
+// them across seeds × orientations × workers × in-flight budgets.
 
 // matrixOf builds the underlying undirected simple-graph adjacency
 // matrix of one window's edge list (directed edges lose orientation;

@@ -216,11 +216,10 @@ func strictUnmarshal(data []byte, v any) error {
 
 // resultKey is the canonical identity of a spec's results: everything
 // that changes what the engine computes. Execution knobs — Workers,
-// MaxInFlight, LaneWidth, ElongationSpill — are absent by design: the
-// engine pins results bit-identical across all of them (the
-// worker-count, lane-width and spill equivalence suites, and
-// TestExecutionHintsAreResultNeutral), so two submits differing only
-// there share one cache entry. Metrics are
+// MaxInFlight, ElongationSpill — are absent by design: the engine pins
+// results bit-identical across all of them (the worker-count and spill
+// equivalence suites, and TestExecutionHintsAreResultNeutral), so two
+// submits differing only there share one cache entry. Metrics are
 // sorted and defaulted (nil means occupancy); Selectors keep their
 // order, because the first selector decides the saturation scale.
 type resultKey struct {

@@ -32,7 +32,6 @@ func fullSpec() *repro.PlanSpec {
 		Adaptive:        &repro.AdaptiveSpec{Bins: 96, MinRunBins: 3, SeparationFactor: 2},
 		Workers:         3,
 		MaxInFlight:     2,
-		LaneWidth:       8,
 		ElongationSpill: 1 << 20,
 	}
 }
@@ -105,11 +104,16 @@ func TestPlanCodecStrictness(t *testing.T) {
 			}
 		})
 	}
-	// The removed speculative-bisection knob is an unknown field, not a
-	// silently ignored hint.
-	_, err := DecodePlan([]byte(`{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1}],"refine":3,"speculate":true}}`))
-	if err == nil || !strings.Contains(err.Error(), `unknown field "speculate"`) {
-		t.Fatalf("speculate decoded as %v, want an unknown-field error", err)
+	// Removed knobs are unknown fields, not silently ignored hints.
+	for _, removed := range []struct{ name, field string }{
+		{"speculate", `"speculate":true`},
+		{"lane_width", `"lane_width":4`},
+	} {
+		msg := `{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1}],"refine":3,` + removed.field + `}}`
+		_, err := DecodePlan([]byte(msg))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+removed.name+`"`) {
+			t.Fatalf("%s decoded as %v, want an unknown-field error", removed.name, err)
+		}
 	}
 }
 
@@ -153,7 +157,6 @@ func TestSpecKeyIgnoresExecutionKnobs(t *testing.T) {
 	variant := fullSpec()
 	variant.Workers = 11
 	variant.MaxInFlight = 7
-	variant.LaneWidth = 4
 	variant.ElongationSpill = 0
 	got, err := SpecKey(variant, "columnar:abc")
 	if err != nil {
@@ -249,7 +252,7 @@ func TestInlineHash(t *testing.T) {
 // hintFields are the PlanSpec fields, by wire name, that resultKey
 // leaves out: execution hints the engine pins results bit-identical
 // across.
-var hintFields = []string{"workers", "max_inflight", "lane_width", "elongation_spill"}
+var hintFields = []string{"workers", "max_inflight", "elongation_spill"}
 
 // jsonNames maps a struct type's fields to their wire names.
 func jsonNames(t *testing.T, typ reflect.Type) map[string]string {
@@ -307,7 +310,6 @@ func TestExecutionHintsAreResultNeutral(t *testing.T) {
 	toggles := map[string]func(*repro.PlanSpec){
 		"workers":          func(s *repro.PlanSpec) { s.Workers = 1 },
 		"max_inflight":     func(s *repro.PlanSpec) { s.MaxInFlight = 1 },
-		"lane_width":       func(s *repro.PlanSpec) { s.LaneWidth = 4 },
 		"elongation_spill": func(s *repro.PlanSpec) { s.ElongationSpill = 1 },
 	}
 	if len(toggles) != len(hintFields) {

@@ -64,13 +64,12 @@ type QueueConfig struct {
 	// are rejected when it is empty. Paths are cleaned and confined —
 	// absolute paths and ".." escapes fail with ErrStreamRef.
 	StreamRoot string
-	// DefaultWorkers, DefaultMaxInFlight and DefaultLaneWidth fill the
-	// execution hints of specs that leave them 0 — the server
-	// operator's engine budgets. They never affect results, only how
-	// fast and how large a run executes.
+	// DefaultWorkers and DefaultMaxInFlight fill the execution hints of
+	// specs that leave them 0 — the server operator's engine budgets.
+	// They never affect results, only how fast and how large a run
+	// executes.
 	DefaultWorkers     int
 	DefaultMaxInFlight int
-	DefaultLaneWidth   int
 }
 
 func (c QueueConfig) maxJobs() int {
@@ -468,9 +467,6 @@ func (q *Queue) buildPlan(spec *repro.PlanSpec, streamID string, progress func(r
 	}
 	if exec.MaxInFlight == 0 {
 		exec.MaxInFlight = q.cfg.DefaultMaxInFlight
-	}
-	if exec.LaneWidth == 0 {
-		exec.LaneWidth = q.cfg.DefaultLaneWidth
 	}
 	var extra []repro.Option
 	if progress != nil {

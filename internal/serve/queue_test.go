@@ -94,7 +94,6 @@ func TestQueueCoincidingSubmits(t *testing.T) {
 		s := smallSpec(t, 3)
 		// Execution knobs must not split the cache key.
 		s.Workers = 1 + rng.Intn(3)
-		s.LaneWidth = []int{0, 4, 8}[rng.Intn(3)]
 		s.MaxInFlight = rng.Intn(3)
 		specs[i] = s
 	}
@@ -508,7 +507,6 @@ func TestQueueInvalidSpecs(t *testing.T) {
 		"both streams":     {Stream: &repro.StreamRef{Path: "x"}, Inline: []repro.InlineEvent{{U: "a", V: "b", T: 1}}},
 		"unknown metric":   {Inline: inlineWorkload(t, 3), Metrics: []string{"vibes"}},
 		"unknown selector": {Inline: inlineWorkload(t, 3), Selectors: []string{"coin-flip"}},
-		"bad lane width":   {Inline: inlineWorkload(t, 3), LaneWidth: 5},
 		"self loop":        {Inline: []repro.InlineEvent{{U: "a", V: "a", T: 1}}},
 	}
 	for name, spec := range cases {

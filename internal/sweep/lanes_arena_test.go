@@ -1,7 +1,7 @@
 package sweep
 
-// Lane-width and arena-pool suite for the engine layer: every lane
-// width drives the same observer results bit for bit, and every arena
+// Worker-count and arena-pool suite for the engine layer: every worker
+// count drives the same observer results bit for bit, and every arena
 // the engine is handed goes back to the pool — on success, failure and
 // randomized mid-run cancellation alike.
 
@@ -9,7 +9,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/temporal"
@@ -26,11 +25,10 @@ func assertArenaBalance(t *testing.T, stage string) {
 	}
 }
 
-// TestRunLaneWidthEquivalence pins the engine-level bit-exactness of
-// the width knob: identical per-period occupancy fingerprints and
-// identical destination-major trip streams for widths 0 (auto), 4
-// and 8, across worker counts.
-func TestRunLaneWidthEquivalence(t *testing.T) {
+// TestRunWorkerCountEquivalence pins the engine-level bit-exactness
+// across worker counts: identical per-period occupancy fingerprints
+// and identical destination-major trip streams for 1 and 4 workers.
+func TestRunWorkerCountEquivalence(t *testing.T) {
 	s := seededStream(t, 13, 3, 4_000, 61)
 	grid := []int64{3, 30, 300, 3000}
 
@@ -39,47 +37,36 @@ func TestRunLaneWidthEquivalence(t *testing.T) {
 		counts []int
 		trips  []temporal.Trip
 	}
-	collect := func(width, workers int) fingerprint {
+	collect := func(workers int) fingerprint {
 		t.Helper()
 		occ := &cancellingObserver{cancelAt: math.MaxInt64}
 		rec := &runRecorder{}
 		err := Run(context.Background(), s, grid,
-			Options{Workers: workers, MaxInFlight: 2, LaneWidth: width}, occ, rec)
+			Options{Workers: workers, MaxInFlight: 2}, occ, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fingerprint{sums: occ.sums, counts: occ.counts, trips: append([]temporal.Trip(nil), rec.flat...)}
 	}
 
-	ref := collect(4, 1)
-	for _, width := range []int{0, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			got := collect(width, workers)
-			for i := range ref.sums {
-				if got.sums[i] != ref.sums[i] || got.counts[i] != ref.counts[i] {
-					t.Fatalf("width=%d workers=%d: period %d fingerprint %v/%d, want %v/%d",
-						width, workers, i, got.sums[i], got.counts[i], ref.sums[i], ref.counts[i])
-				}
-			}
-			if len(got.trips) != len(ref.trips) {
-				t.Fatalf("width=%d workers=%d: %d stream trips, want %d", width, workers, len(got.trips), len(ref.trips))
-			}
-			for i := range ref.trips {
-				if got.trips[i] != ref.trips[i] {
-					t.Fatalf("width=%d workers=%d: stream trip %d = %+v, want %+v (destination-major order is width-invariant)",
-						width, workers, i, got.trips[i], ref.trips[i])
-				}
+	ref := collect(1)
+	for _, workers := range []int{1, 4} {
+		got := collect(workers)
+		for i := range ref.sums {
+			if got.sums[i] != ref.sums[i] || got.counts[i] != ref.counts[i] {
+				t.Fatalf("workers=%d: period %d fingerprint %v/%d, want %v/%d",
+					workers, i, got.sums[i], got.counts[i], ref.sums[i], ref.counts[i])
 			}
 		}
-	}
-}
-
-// TestRunLaneWidthValidation rejects unsupported widths up front.
-func TestRunLaneWidthValidation(t *testing.T) {
-	s := seededStream(t, 5, 2, 200, 62)
-	err := Run(context.Background(), s, []int64{10}, Options{LaneWidth: 3}, newProbe(Needs{Occupancies: true}))
-	if err == nil || !strings.Contains(err.Error(), "lane width") {
-		t.Fatalf("err = %v, want unsupported lane width", err)
+		if len(got.trips) != len(ref.trips) {
+			t.Fatalf("workers=%d: %d stream trips, want %d", workers, len(got.trips), len(ref.trips))
+		}
+		for i := range ref.trips {
+			if got.trips[i] != ref.trips[i] {
+				t.Fatalf("workers=%d: stream trip %d = %+v, want %+v (destination-major order is worker-invariant)",
+					workers, i, got.trips[i], ref.trips[i])
+			}
+		}
 	}
 }
 

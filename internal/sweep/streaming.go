@@ -28,8 +28,7 @@ import (
 // and is returned; cancelled enumerations still recycle every lane and
 // join every worker before returning.
 func streamTripRuns(ctx context.Context, c *temporal.CSR, n int, opt Options, deliver func(dest int32, run []temporal.Trip) error) error {
-	width := temporal.ResolveLaneWidth(opt.LaneWidth)
-	blocks := temporal.DestBlocksFor(n, width)
+	blocks := temporal.DestBlocks(n)
 	inFlight := opt.MaxInFlight
 	if inFlight <= 0 {
 		inFlight = DefaultMaxInFlight
@@ -51,7 +50,7 @@ func streamTripRuns(ctx context.Context, c *temporal.CSR, n int, opt Options, de
 
 	deliverBlock := func(b int, lanes [][]temporal.Trip) error {
 		for l, run := range lanes {
-			d := b*width + l
+			d := b*temporal.LaneWidth + l
 			if d >= n {
 				break
 			}
@@ -68,9 +67,9 @@ func streamTripRuns(ctx context.Context, c *temporal.CSR, n int, opt Options, de
 
 	if workers == 1 {
 		// Sequential: sweep, deliver, recycle — one block resident.
-		wk := temporal.NewWorkerWidth(n, width)
+		wk := temporal.NewWorker(n)
 		defer wk.Release()
-		lanes := make([][]temporal.Trip, width)
+		lanes := make([][]temporal.Trip, temporal.LaneWidth)
 		for b := 0; b < blocks; b++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -125,7 +124,7 @@ func streamTripRuns(ctx context.Context, c *temporal.CSR, n int, opt Options, de
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := temporal.NewWorkerWidth(n, width)
+			wk := temporal.NewWorker(n)
 			defer wk.Release()
 			for {
 				if aborted.Load() {
@@ -153,7 +152,7 @@ func streamTripRuns(ctx context.Context, c *temporal.CSR, n int, opt Options, de
 				// Each claimed block gets its own lane table: the sweep's
 				// out slices park in the reorder window until the cursor
 				// reaches them, so worker scratch cannot be shared.
-				lanes := make([][]temporal.Trip, width)
+				lanes := make([][]temporal.Trip, temporal.LaneWidth)
 				if !aborted.Load() {
 					wk.SweepFullBlock(c, opt.Directed, b, true, false, nil, lanes)
 				}

@@ -180,7 +180,7 @@ func TestShardedTripObserver(t *testing.T) {
 		if len(obs.shards) != len(grid) {
 			t.Fatalf("workers=%d: %d shards created for %d periods", workers, len(obs.shards), len(grid))
 		}
-		blocks := temporal.DestBlocksFor(s.NumNodes(), temporal.DefaultLaneWidth())
+		blocks := temporal.DestBlocks(s.NumNodes())
 		for i, sh := range obs.shards {
 			if len(sh.blocks) != blocks {
 				t.Fatalf("workers=%d period %d: shard sized for %d blocks, want %d", workers, i, len(sh.blocks), blocks)

@@ -68,16 +68,6 @@ type Options struct {
 	// receive Period.Histogram instead of Period.Occupancies, and the
 	// engine never holds a period's full occupancy population.
 	HistogramBins int
-	// LaneWidth selects the blocked sweep's lane width — how many
-	// destinations each pass over a period's layers relaxes at once: 0
-	// (the default) picks the architecture's width heuristic
-	// (temporal.DefaultLaneWidth), 4 and 8 force a compiled kernel.
-	// Every width produces bit-identical per-destination results; wider
-	// lanes amortise the edge stream over more destinations at the cost
-	// of a larger per-worker state footprint. The width is resolved once
-	// per run and shared by every worker — block indices are
-	// width-relative.
-	LaneWidth int
 	// Progress, when non-nil, receives one ProgressEvent per engine
 	// milestone: the run preparing its job plan, each raw-stream trip
 	// enumeration, and every (segment, ∆) period delivered to its
@@ -92,14 +82,6 @@ type Options struct {
 	// concurrent runs do not bleed into each other's numbers.
 	Stats *RunStats
 }
-
-// ValidLaneWidth reports whether w is an acceptable Options.LaneWidth
-// value: 0 (auto), 4 or 8.
-func ValidLaneWidth(w int) bool { return temporal.ValidLaneWidth(w) }
-
-// DefaultLaneWidth returns the lane width a zero Options.LaneWidth
-// resolves to on this architecture.
-func DefaultLaneWidth() int { return temporal.DefaultLaneWidth() }
 
 // Stage identifies what a ProgressEvent reports.
 type Stage uint8
@@ -391,14 +373,14 @@ type TripRunObserver interface {
 // at a time, on whichever worker swept the block, so a huge trip
 // population is scored in parallel without ever being held whole.
 // ObserveTripBlock is called exactly once per block, concurrently for
-// different blocks; lanes has one entry per lane of the run's blocked
-// sweep (the lanesPerBlock passed to NewTripShard) and lane l holds
-// destination block*lanesPerBlock+l's trips in the same
-// departure-descending order a single-destination sweep would emit.
-// Shards that accumulate floating-point sums should keep one partial
-// per lane and fold them in lane order inside ObservePeriod — that
-// makes the result bit-for-bit independent of worker count, scheduling
-// and lane width.
+// different blocks; lanes has one entry per lane of the blocked sweep
+// (the lanesPerBlock passed to NewTripShard, always temporal.LaneWidth)
+// and lane l holds destination block*lanesPerBlock+l's trips in the
+// same departure-descending order a single-destination sweep would
+// emit. Shards that accumulate floating-point sums should keep one
+// partial per lane and fold them in lane order inside ObservePeriod —
+// that makes the result bit-for-bit independent of worker count and
+// scheduling.
 type TripShard interface {
 	ObserveTripBlock(block int, lanes [][]temporal.Trip) error
 }
@@ -406,9 +388,10 @@ type TripShard interface {
 // ShardedTripObserver is an Observer whose per-period trip scan is
 // sharded across the worker pool; observers declaring Needs.TripShards
 // must implement it. NewTripShard is called once per period, before any
-// of its blocks sweep, with the run's block count and resolved lane
-// width (destinations per block); the shard then receives every block
-// and is finally handed back through Period.Shard in ObservePeriod.
+// of its blocks sweep, with the run's block count and the destinations
+// per block, which is always temporal.LaneWidth; the shard then
+// receives every block and is finally handed back through Period.Shard
+// in ObservePeriod.
 type ShardedTripObserver interface {
 	Observer
 	NewTripShard(delta int64, blocks, lanesPerBlock int) TripShard
@@ -582,7 +565,6 @@ type engine struct {
 	specs   []*jobSpec
 	n       int // node count, shared by every scope
 	workers int
-	width   int // resolved lane width of the blocked sweep
 	blocks  int
 
 	sem   chan struct{}
@@ -791,7 +773,7 @@ func (e *engine) produce() {
 					for _, o := range tgt.sc.seg.Observers {
 						var sh TripShard
 						if so, ok := o.(ShardedTripObserver); ok && o.Needs().TripShards {
-							sh = so.NewTripShard(sp.delta, e.blocks, e.width)
+							sh = so.NewTripShard(sp.delta, e.blocks, temporal.LaneWidth)
 							j.shards = append(j.shards, sh)
 						}
 						row = append(row, sh)
@@ -835,11 +817,11 @@ func (e *engine) produce() {
 // once, and a job never waits on a worker that is busy elsewhere.
 func (e *engine) worker() {
 	defer e.wg.Done()
-	w := temporal.NewWorkerWidth(e.n, e.width)
+	w := temporal.NewWorker(e.n)
 	defer w.Release()
 	// laneBuf receives one block's trip lanes, recycled once every
 	// shard has scored them.
-	laneBuf := make([][]temporal.Trip, e.width)
+	laneBuf := make([][]temporal.Trip, temporal.LaneWidth)
 	// wscratch is the worker's sort buffer for edge-weight tasks.
 	var wscratch temporal.CSRScratch
 	var localHist *dist.Histogram

@@ -145,10 +145,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			}
 		}
 	}
-	if !temporal.ValidLaneWidth(opt.LaneWidth) {
-		return fmt.Errorf("sweep: unsupported lane width %d (want 0, 4 or 8)", opt.LaneWidth)
-	}
-
 	// Materialise only the hull of the registered windows: for a mapped
 	// columnar source, events outside [min Start, max End) are never
 	// read. Any whole-stream segment widens the hull to everything.
@@ -179,7 +175,7 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 	engineRuns.Add(1)
 	n := src.NumNodes()
 
-	e := &engine{ctx: ctx, opt: opt, n: n, width: temporal.ResolveLaneWidth(opt.LaneWidth)}
+	e := &engine{ctx: ctx, opt: opt, n: n}
 	if opt.Stats != nil {
 		// Flush this run's counters into the caller's accumulator on
 		// every exit path, cancelled and failed runs included — a
@@ -360,7 +356,7 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.blocks = temporal.DestBlocksFor(e.n, e.width)
+	e.blocks = temporal.DestBlocks(e.n)
 	maxInFlight := opt.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight

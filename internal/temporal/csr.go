@@ -197,13 +197,11 @@ const unreachPacked = int64(math.MaxInt32) << 32
 // candidate this layer" is one compare against the slot itself.
 const noCand = int64(math.MaxInt64)
 
-// The blocked sweep processes width destinations per pass over the
-// layers, with width one of the compiled kernel widths (lanes.go).
-// Blocking amortises the edge stream (loads, loop control) across
-// lanes: one (u, v) read feeds width independent relaxations whose
-// state interleaves in adjacent slots, so a node's lanes share a cache
-// line (all eight lanes of the 8-wide kernel span exactly one 64-byte
-// line).
+// The blocked sweep processes LaneWidth destinations per pass over the
+// layers (lanes.go). Blocking amortises the edge stream (loads, loop
+// control) across lanes: one (u, v) read feeds LaneWidth independent
+// relaxations whose state interleaves in adjacent slots, so a node's
+// eight lanes span exactly one 64-byte cache line.
 
 // sweepState is the per-worker scratch of the CSR sweep: 8 bytes of
 // standing state and 8 bytes of per-layer candidate state per node (per
@@ -212,25 +210,20 @@ const noCand = int64(math.MaxInt64)
 // re-copies every element O(log n) times, which profiled as ~25% of the
 // whole sweep.
 type sweepState struct {
-	width     int     // lane width of the blocked sweep (4 or 8)
-	shift     uint    // log2(width): node = slot >> shift, lane = slot & (width-1)
 	node      []int64 // packed (arrIdx, hops); unreachPacked if unreachable
 	cand      []int64 // packed per-layer candidate; noCand at rest
 	seg       []int32 // layer index at which node's (arr, hop) became active
 	touched   []int32
-	nodeB     []int64              // width-lane standing state, slot width*node+lane
-	candB     []int64              // width-lane candidates; noCand at rest
-	segB      []int32              // per-slot layer index of the standing state (distance segments)
-	occ       []float64            // active occupancy chunk, used when collectOcc
-	occChunks [][]float64          // completed chunks
-	trips     []Trip               // trip sink for CollectTrips
-	tripsB    [MaxLaneWidth][]Trip // per-lane trip sinks of the full block sweep (ownership handed to the caller)
+	nodeB     []int64           // LaneWidth-lane standing state, slot LaneWidth*node+lane
+	candB     []int64           // LaneWidth-lane candidates; noCand at rest
+	segB      []int32           // per-slot layer index of the standing state (distance segments)
+	occ       []float64         // active occupancy chunk, used when collectOcc
+	occChunks [][]float64       // completed chunks
+	tripsB    [LaneWidth][]Trip // per-lane trip sinks of the full block sweep (ownership handed to the caller)
 }
 
-func newSweepState(n, width int) *sweepState {
+func newSweepState(n int) *sweepState {
 	st := &sweepState{
-		width:   width,
-		shift:   laneShift(width),
 		node:    make([]int64, n),
 		cand:    make([]int64, n),
 		seg:     make([]int32, n),
@@ -243,24 +236,22 @@ func newSweepState(n, width int) *sweepState {
 }
 
 // statePool recycles sweep states across calls (and benchmark
-// iterations); entries of the wrong size or lane width are dropped on
-// Get.
+// iterations); entries of the wrong size are dropped on Get.
 var statePool sync.Pool
 
-func getSweepState(n, width int) *sweepState {
+func getSweepState(n int) *sweepState {
 	if v := statePool.Get(); v != nil {
 		st := v.(*sweepState)
-		if len(st.node) == n && st.width == width {
+		if len(st.node) == n {
 			return st
 		}
 	}
-	return newSweepState(n, width)
+	return newSweepState(n)
 }
 
 func putSweepState(st *sweepState) {
 	st.occ = nil
 	st.occChunks = nil
-	st.trips = nil
 	statePool.Put(st)
 }
 
@@ -360,10 +351,10 @@ func concatChunks(total int, chunkLists ...[][]float64) []float64 {
 // run performs one backward sweep for destination dest over the CSR.
 // It mirrors the slice-based reference sweep over []Layer, kept in
 // csr_test.go, with the relax bodies inlined over the flat endpoint
-// array. visit, if non nil, receives every minimal trip; acc, if non
-// nil, accumulates the distance segments. The occupancy hot path does
-// not come through here — it runs the blocked sweep, runOccBlock.
-func (st *sweepState) run(c *CSR, dest int32, directed bool, visit func(u int32, dep, arr int64, hops int32), acc *distAcc) {
+// array. acc, if non nil, accumulates the distance segments. The trip
+// and occupancy paths do not come through here — they run the blocked
+// sweeps, runOccBlock and runFullBlock.
+func (st *sweepState) run(c *CSR, dest int32, directed bool, acc *distAcc) {
 	node, cand, seg := st.node, st.cand, st.seg
 	for i := range node {
 		node[i] = unreachPacked
@@ -431,15 +422,10 @@ func (st *sweepState) run(c *CSR, dest int32, directed bool, visit func(u int32,
 				}
 				seg[x] = int32(li)
 			}
-			if p>>32 < old>>32 {
-				// Strictly earlier arrival: exactly one minimal trip.
-				if visit != nil {
-					visit(x, key, keys[p>>32], int32(p))
-				}
-			}
-			// Otherwise: same earliest arrival with fewer hops when
-			// departing earlier — not a minimal trip, but the hop count
-			// feeds upstream relaxations and the dhops segments.
+			// A strictly earlier arrival (p>>32 < old>>32) is exactly one
+			// minimal trip; the same arrival with fewer hops is not, but
+			// both updates feed upstream relaxations and the dhops
+			// segments.
 		}
 	}
 	st.touched = touched[:0]
@@ -453,19 +439,18 @@ func (st *sweepState) run(c *CSR, dest int32, directed bool, visit func(u int32,
 	}
 }
 
-// runOccBlock sweeps up to width consecutive destinations (first,
+// runOccBlock sweeps up to LaneWidth consecutive destinations (first,
 // first+1, ...) in one pass over the layers, appending every minimal
 // trip's occupancy to the chunk sink. Lane b holds destination first+b;
 // lanes past ndests stay entirely unreachable (their pins are never
 // set), so every relaxation on them fails the single compare and they
 // are inert. Semantically this is exactly ndests independent runs of
-// the single-destination sweep, for every lane width.
+// the single-destination sweep.
 func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool) {
 	n := len(st.node)
-	width := st.width
 	if st.nodeB == nil {
-		st.nodeB = make([]int64, width*n)
-		st.candB = make([]int64, width*n)
+		st.nodeB = make([]int64, LaneWidth*n)
+		st.candB = make([]int64, LaneWidth*n)
 		for i := range st.candB {
 			st.candB[i] = noCand
 		}
@@ -487,9 +472,9 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 		// Pin each lane's own destination to (li, 0 hops); see run.
 		pin := int64(li) << 32
 		for b := 0; b < ndests; b++ {
-			nodeB[width*int(first+int32(b))+b] = pin
+			nodeB[LaneWidth*int(first+int32(b))+b] = pin
 		}
-		touched = st.relaxLanes(ends[2*off[li]:2*off[li+1]], directed, touched)
+		touched = relaxLanes(nodeB, candB, ends[2*off[li]:2*off[li+1]], directed, touched)
 		for _, slot := range touched {
 			p, old := candB[slot], nodeB[slot]
 			candB[slot] = noCand
@@ -517,21 +502,19 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 // sequence of segment operations is identical to the single-destination
 // sweep's — lanes evolve independently and a slot's commits interleave
 // with other lanes' without reordering its own — so the accumulated
-// floating-point sums match st.run bit for bit, at every lane width.
+// floating-point sums match st.run bit for bit.
 func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed bool, wantTrips, wantOcc bool, sink *DistSink) {
 	n := len(st.node)
-	width, shift := st.width, st.shift
-	laneMask := int32(width - 1)
 	if st.nodeB == nil {
-		st.nodeB = make([]int64, width*n)
-		st.candB = make([]int64, width*n)
+		st.nodeB = make([]int64, LaneWidth*n)
+		st.candB = make([]int64, LaneWidth*n)
 		for i := range st.candB {
 			st.candB[i] = noCand
 		}
 	}
 	needSeg := sink != nil
 	if needSeg && st.segB == nil {
-		st.segB = make([]int32, width*n)
+		st.segB = make([]int32, LaneWidth*n)
 	}
 	nodeB, candB, segB := st.nodeB, st.candB, st.segB
 	for i := range nodeB {
@@ -558,14 +541,14 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 		// Pin each lane's own destination to (li, 0 hops); see run.
 		pin := int64(li) << 32
 		for b := 0; b < ndests; b++ {
-			nodeB[width*int(first+int32(b))+b] = pin
+			nodeB[LaneWidth*int(first+int32(b))+b] = pin
 		}
-		touched = st.relaxLanes(ends[2*off[li]:2*off[li+1]], directed, touched)
+		touched = relaxLanes(nodeB, candB, ends[2*off[li]:2*off[li+1]], directed, touched)
 		for _, slot := range touched {
 			p, old := candB[slot], nodeB[slot]
 			candB[slot] = noCand
 			nodeB[slot] = p
-			lane := int(slot & laneMask)
+			lane := int(slot) & (LaneWidth - 1)
 			if needSeg {
 				if old != unreachPacked {
 					sink.accs[int(first)+lane].addSegment(keys[old>>32], key+1, keys[segB[slot]], int32(old))
@@ -575,7 +558,7 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 			if p>>32 < old>>32 {
 				if wantTrips {
 					st.tripsB[lane] = append(st.tripsB[lane], Trip{
-						U: slot >> shift, V: first + int32(lane),
+						U: slot / LaneWidth, V: first + int32(lane),
 						Dep: key, Arr: keys[p>>32], Hops: int32(p),
 					})
 				}
@@ -591,7 +574,7 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 		// Per destination, flush the final standing segments in node
 		// order — the same order st.run's tail loop uses.
 		for u := 0; u < n; u++ {
-			base := width * u
+			base := LaneWidth * u
 			for b := 0; b < ndests; b++ {
 				if int32(u) == first+int32(b) {
 					continue
@@ -608,13 +591,12 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 // forEachDestCSR runs fn for every destination on cfg.Workers parallel
 // workers, each owning one pooled sweep state.
 func forEachDestCSR(cfg Config, fn func(dest int32, st *sweepState)) {
-	width := ResolveLaneWidth(cfg.LaneWidth)
 	w := cfg.workers()
 	if w > cfg.N {
 		w = cfg.N
 	}
 	if w <= 1 {
-		st := getSweepState(cfg.N, width)
+		st := getSweepState(cfg.N)
 		for d := int32(0); int(d) < cfg.N; d++ {
 			fn(d, st)
 		}
@@ -627,7 +609,7 @@ func forEachDestCSR(cfg Config, fn func(dest int32, st *sweepState)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := getSweepState(cfg.N, width)
+			st := getSweepState(cfg.N)
 			for {
 				d := next.Add(1) - 1
 				if d >= int64(cfg.N) {
@@ -643,12 +625,12 @@ func forEachDestCSR(cfg Config, fn func(dest int32, st *sweepState)) {
 
 // CollectTripsCSR returns every minimal trip of the CSR graph in
 // destination-major order — destinations in increasing id, departures
-// strictly decreasing per (source, destination) — for any worker count
-// and lane width. It runs the same blocked lane sweep as the unified
-// engine (width destinations per layer pass, parallel over destination
-// blocks), so the reference and engine trip producers share one relax
-// loop; lanes are concatenated in block order, which reproduces the
-// order consecutive single-destination sweeps would emit.
+// strictly decreasing per (source, destination) — for any worker count.
+// It runs the same blocked lane sweep as the unified engine (LaneWidth
+// destinations per layer pass, parallel over destination blocks), so
+// the reference and engine trip producers share one relax loop; lanes
+// are concatenated in block order, which reproduces the order
+// consecutive single-destination sweeps would emit.
 func CollectTripsCSR(cfg Config, c *CSR) []Trip {
 	lanes := CollectTripLanes(cfg, c)
 	total := 0
@@ -671,8 +653,7 @@ func CollectTripsCSR(cfg Config, c *CSR) []Trip {
 // copy. Ownership of the lanes passes to the caller; hand them back
 // with RecycleTrips when done.
 func CollectTripLanes(cfg Config, c *CSR) [][]Trip {
-	width := ResolveLaneWidth(cfg.LaneWidth)
-	blocks := DestBlocksFor(cfg.N, width)
+	blocks := DestBlocks(cfg.N)
 	w := cfg.workers()
 	if w > blocks {
 		w = blocks
@@ -680,12 +661,12 @@ func CollectTripLanes(cfg Config, c *CSR) [][]Trip {
 	if w < 1 {
 		w = 1
 	}
-	lanes := make([][]Trip, width*blocks)
+	lanes := make([][]Trip, LaneWidth*blocks)
 	if w == 1 {
-		wk := NewWorkerWidth(cfg.N, width)
+		wk := NewWorker(cfg.N)
 		defer wk.Release()
 		for b := 0; b < blocks; b++ {
-			wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[width*b:width*(b+1)])
+			wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[LaneWidth*b:LaneWidth*(b+1)])
 		}
 		return lanes[:cfg.N]
 	}
@@ -695,14 +676,14 @@ func CollectTripLanes(cfg Config, c *CSR) [][]Trip {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := NewWorkerWidth(cfg.N, width)
+			wk := NewWorker(cfg.N)
 			defer wk.Release()
 			for {
 				b := int(next.Add(1) - 1)
 				if b >= blocks {
 					return
 				}
-				wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[width*b:width*(b+1)])
+				wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[LaneWidth*b:LaneWidth*(b+1)])
 			}
 		}()
 	}
@@ -710,10 +691,10 @@ func CollectTripLanes(cfg Config, c *CSR) [][]Trip {
 	return lanes[:cfg.N]
 }
 
-// DestBlocksFor returns the number of destination blocks the blocked
-// sweep schedules for n nodes at the given (resolved) lane width; block
-// b covers destinations [b*width, min((b+1)*width, n)).
-func DestBlocksFor(n, width int) int { return (n + width - 1) / width }
+// DestBlocks returns the number of destination blocks the blocked
+// sweep schedules for n nodes; block b covers destinations
+// [b*LaneWidth, min((b+1)*LaneWidth, n)).
+func DestBlocks(n int) int { return (n + LaneWidth - 1) / LaneWidth }
 
 // OccupanciesCSR returns the occupancy rates of all minimal trips of
 // the CSR graph. This is the hot path of the occupancy method:
@@ -722,11 +703,10 @@ func DestBlocksFor(n, width int) int { return (n + width - 1) / width }
 // exact-size result once, so the allocation count is O(trips / chunk
 // size + workers), not O(destinations), and no value is copied more
 // than once. The per-destination value runs are identical for every
-// lane width; only their interleaving across destinations varies, and
+// worker count; only their interleaving across destinations varies, and
 // every consumer is order-independent (sorted samples, histograms).
 func OccupanciesCSR(cfg Config, c *CSR) []float64 {
-	width := ResolveLaneWidth(cfg.LaneWidth)
-	blocks := DestBlocksFor(cfg.N, width)
+	blocks := DestBlocks(cfg.N)
 	w := cfg.workers()
 	if w > blocks {
 		w = blocks
@@ -742,14 +722,14 @@ func OccupanciesCSR(cfg Config, c *CSR) []float64 {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			st := getSweepState(cfg.N, width)
+			st := getSweepState(cfg.N)
 			for {
 				b := int(next.Add(1) - 1)
 				if b >= blocks {
 					break
 				}
-				first := b * width
-				ndests := min(width, cfg.N-first)
+				first := b * LaneWidth
+				ndests := min(LaneWidth, cfg.N-first)
 				st.runOccBlock(c, int32(first), ndests, cfg.Directed)
 			}
 			chunkLists[slot], totals[slot] = st.takeOcc()
@@ -821,23 +801,11 @@ func (s *DistSink) Stats() DistanceStats {
 // goroutine). Release returns its state to the engine pool.
 type Worker struct{ st *sweepState }
 
-// NewWorker returns a worker for graphs with n nodes, sweeping at the
-// architecture's default lane width.
-func NewWorker(n int) *Worker { return NewWorkerWidth(n, 0) }
-
-// NewWorkerWidth returns a worker for graphs with n nodes sweeping
-// width destinations per blocked pass; width 0 selects
-// DefaultLaneWidth. Every worker of one engine run must use the same
-// width — block indices are width-relative.
-func NewWorkerWidth(n, width int) *Worker {
-	return &Worker{st: getSweepState(n, ResolveLaneWidth(width))}
-}
-
-// Width returns the worker's resolved lane width.
-func (w *Worker) Width() int { return w.st.width }
+// NewWorker returns a worker for graphs with n nodes.
+func NewWorker(n int) *Worker { return &Worker{st: getSweepState(n)} }
 
 // SweepOccupancyBlock runs the blocked backward sweep for destination
-// block b (see DestBlocksFor) and accumulates the occupancy of every
+// block b (see DestBlocks) and accumulates the occupancy of every
 // minimal trip in the worker's chunk sink. It is the work-item
 // primitive of the multi-delta sweep pipeline (core): the caller owns
 // the worker loop, reuses one Worker across all (delta, block) items of
@@ -845,22 +813,21 @@ func (w *Worker) Width() int { return w.st.width }
 // boundaries.
 func (w *Worker) SweepOccupancyBlock(c *CSR, directed bool, b int) {
 	n := len(w.st.node)
-	width := w.st.width
-	first := b * width
-	w.st.runOccBlock(c, int32(first), min(width, n-first), directed)
+	first := b * LaneWidth
+	w.st.runOccBlock(c, int32(first), min(LaneWidth, n-first), directed)
 }
 
 // SweepFullBlock runs the blocked backward sweep for destination block
-// b (see DestBlocksFor), fanning the products of that one pass out:
+// b (see DestBlocks), fanning the products of that one pass out:
 // occupancies go to the worker's chunk sink (when wantOcc), distance
 // segments accumulate into sink's per-destination slots (when sink is
 // non-nil), and — when wantTrips — the block's minimal trips are
 // written into out, one per-destination slice per lane, with ownership
-// passing to the caller; out must hold at least Width() entries (only
+// passing to the caller; out must hold at least LaneWidth entries (only
 // the block's live lanes are assigned, trailing entries of a partial
 // final block are left untouched). Lane l, in departure-descending
 // order, holds exactly the trips a single-destination sweep of
-// destination b*Width()+l would emit, in the same order, so
+// destination b*LaneWidth+l would emit, in the same order, so
 // concatenating lanes block by block reproduces the destination-major
 // trip order without ever copying a trip — callers hand a slice of
 // their own lane table and the trips land in place. It is the
@@ -870,9 +837,8 @@ func (w *Worker) SweepOccupancyBlock(c *CSR, directed bool, b int) {
 func (w *Worker) SweepFullBlock(c *CSR, directed bool, b int, wantTrips, wantOcc bool, sink *DistSink, out [][]Trip) {
 	st := w.st
 	n := len(st.node)
-	width := st.width
-	first := b * width
-	ndests := min(width, n-first)
+	first := b * LaneWidth
+	ndests := min(LaneWidth, n-first)
 	st.runFullBlock(c, int32(first), ndests, directed, wantTrips, wantOcc, sink)
 	if wantTrips {
 		handed := int64(0)
@@ -917,7 +883,7 @@ func (w *Worker) Release() {
 func DistancesCSR(cfg Config, c *CSR, kMin int64, durPlus int64) DistanceStats {
 	sink := NewDistSink(cfg.N, kMin, durPlus)
 	forEachDestCSR(cfg, func(dest int32, st *sweepState) {
-		st.run(c, dest, cfg.Directed, nil, &sink.accs[dest])
+		st.run(c, dest, cfg.Directed, &sink.accs[dest])
 	})
 	return sink.Stats()
 }
@@ -927,7 +893,7 @@ func DistancesCSR(cfg Config, c *CSR, kMin int64, durPlus int64) DistanceStats {
 func CountReachablePairsCSR(cfg Config, c *CSR) int64 {
 	counts := make([]int64, cfg.N)
 	forEachDestCSR(cfg, func(dest int32, st *sweepState) {
-		st.run(c, dest, cfg.Directed, nil, nil)
+		st.run(c, dest, cfg.Directed, nil)
 		var n int64
 		for u := range st.node {
 			if int32(u) != dest && st.node[u] != unreachPacked {

@@ -382,10 +382,10 @@ func TestCSRSweepMatchesReferenceOccupancies(t *testing.T) {
 // FuzzOccupanciesExact checks Definition 7's arithmetic on arbitrary
 // small graphs: decode an event list (at most 12 nodes, one byte of
 // time per event) with its orientation and ∆ from the input, build the
-// CSR, and require the engine's occupancies at both lane widths to be
-// bit-identical, as a multiset, to Trip.Occupancy() over the reference
-// sweep's trips. The first seed is a 3-hop trip over 5 windows:
-// 3/5 rounds to 0.6, but 3·(1/5) rounds to 0.6000000000000001.
+// CSR, and require the engine's occupancies to be bit-identical, as a
+// multiset, to Trip.Occupancy() over the reference sweep's trips. The
+// first seed is a 3-hop trip over 5 windows: 3/5 rounds to 0.6, but
+// 3·(1/5) rounds to 0.6000000000000001.
 func FuzzOccupanciesExact(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 2, 2, 3, 4})
 	f.Add([]byte{1, 3, 4, 7, 10, 7, 2, 30, 2, 9, 31, 9, 4, 90, 0, 11, 200})
@@ -421,16 +421,14 @@ func FuzzOccupanciesExact(f *testing.F) {
 			want[i] = tr.Occupancy()
 		}
 		sortFloats(want)
-		for _, width := range []int{4, 8} {
-			got := OccupanciesCSR(Config{N: 12, Directed: directed, Workers: 2, LaneWidth: width}, c)
-			sortFloats(got)
-			if len(got) != len(want) {
-				t.Fatalf("width=%d: %d occupancies, reference has %d", width, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("width=%d: occupancy %d = %v, Trip.Occupancy() %v", width, i, got[i], want[i])
-				}
+		got := OccupanciesCSR(Config{N: 12, Directed: directed, Workers: 2}, c)
+		sortFloats(got)
+		if len(got) != len(want) {
+			t.Fatalf("%d occupancies, reference has %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("occupancy %d = %v, Trip.Occupancy() %v", i, got[i], want[i])
 			}
 		}
 	})

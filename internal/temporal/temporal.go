@@ -58,10 +58,9 @@ func (t Trip) Occupancy() float64 {
 
 // Config carries the engine parameters shared by all entry points.
 type Config struct {
-	N         int  // number of nodes
-	Directed  bool // follow edge orientation if true
-	Workers   int  // parallel destinations; <= 0 means GOMAXPROCS
-	LaneWidth int  // blocked-sweep lane width: 0 (auto), 4 or 8
+	N        int  // number of nodes
+	Directed bool // follow edge orientation if true
+	Workers  int  // parallel destinations; <= 0 means GOMAXPROCS
 }
 
 func (c Config) workers() int {

@@ -129,7 +129,6 @@ type planConfig struct {
 	gridPoints    int
 	minDelta      int64
 	refine        int
-	laneWidth     int
 	metrics       [numMetrics]bool
 	metricsSet    bool
 	noGlobal      bool
@@ -249,22 +248,6 @@ func WithMinDelta(lo int64) Option {
 func WithRefine(extra int) Option {
 	return func(c *planConfig) error {
 		c.refine = extra
-		return nil
-	}
-}
-
-// WithLaneWidth pins the engine's destination-lane width: how many
-// destinations each blocked temporal-path sweep relaxes per edge pass.
-// 0 (the default) picks the architecture default (8 on 64-bit
-// amd64/arm64, 4 elsewhere); 4 and 8 force that width. Every width
-// produces bit-identical results — the knob trades per-edge
-// amortisation against per-lane state footprint, nothing else.
-func WithLaneWidth(width int) Option {
-	return func(c *planConfig) error {
-		if !sweep.ValidLaneWidth(width) {
-			return fmt.Errorf("repro: unsupported lane width %d (want 0, 4 or 8)", width)
-		}
-		c.laneWidth = width
 		return nil
 	}
 }
@@ -401,8 +384,9 @@ func WithElongationSpill(bytes int64) Option {
 // WithProgress registers a progress hook: fn receives one ProgressEvent
 // per engine milestone (run planned, raw-stream trips enumerated, each
 // period scored), with Pass set to the round (0 for the initial pass,
-// 1 for the refinement pass) for multi-pass plans. Calls are serialised but run on engine goroutines — fn must
-// return quickly and must not call back into the plan.
+// 1 for the refinement pass) for multi-pass plans. Calls are serialised
+// but run on engine goroutines — fn must return quickly and must not
+// call back into the plan.
 func WithProgress(fn func(ProgressEvent)) Option {
 	return func(c *planConfig) error {
 		c.progress = fn

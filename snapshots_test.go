@@ -142,9 +142,9 @@ func TestSnapshotReportGolden(t *testing.T) {
 		t.Skip("golden matrix is not -short")
 	}
 	type knobs struct {
-		workers, laneWidth int
+		workers, maxInFlight int
 	}
-	matrix := []knobs{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
+	matrix := []knobs{{1, 1}, {1, 0}, {3, 1}, {3, 0}}
 
 	for _, seed := range []int64{101, 202, 303} {
 		for _, directed := range []bool{false, true} {
@@ -158,7 +158,7 @@ func TestSnapshotReportGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts = append(opts, WithWorkers(k.workers), WithLaneWidth(k.laneWidth))
+					opts = append(opts, WithWorkers(k.workers), WithMaxInFlight(k.maxInFlight))
 					plan, err := NewAnalysis(s, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -174,8 +174,8 @@ func TestSnapshotReportGolden(t *testing.T) {
 					if reference == nil {
 						reference = data
 					} else if !bytes.Equal(data, reference) {
-						t.Fatalf("report bytes at workers=%d lane=%d differ from workers=%d lane=%d",
-							k.workers, k.laneWidth, matrix[0].workers, matrix[0].laneWidth)
+						t.Fatalf("report bytes at workers=%d max-inflight=%d differ from workers=%d max-inflight=%d",
+							k.workers, k.maxInFlight, matrix[0].workers, matrix[0].maxInFlight)
 					}
 				}
 

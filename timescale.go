@@ -154,8 +154,8 @@
 // gains a deterministic JSON form whose bytes are identical whenever
 // the results are: per-run engine instrumentation (EngineStats) stays
 // out of it by design, since results are pinned bit-identical across
-// worker counts, lane widths and in-flight budgets while the
-// instrumentation of a particular run is not.
+// worker counts and in-flight budgets while the instrumentation of a
+// particular run is not.
 //
 //	spec := &repro.PlanSpec{
 //		Stream:  &repro.StreamRef{Path: "trace.lsc"},
@@ -185,13 +185,10 @@
 // Every speed knob is bit-exact: any setting produces identical
 // results, only wall-clock and allocation profiles move.
 //
-// WithLaneWidth selects the sweep kernel width. The backward sweep
-// relaxes destinations in hand-unrolled blocks of 4 or 8 lanes; width
-// 0 (the default) resolves to 8 on amd64 and arm64 — a node's packed
-// int64 lanes span exactly one cache line, and the wider block halves
-// the layer passes per destination set — and 4 elsewhere. The lane
-// equivalence suites pin every width to the reference sweep bit for
-// bit.
+// The backward sweep relaxes 8 destinations per pass over a period's
+// layers in one hand-unrolled kernel, because a node's 8 packed int64
+// lanes fill exactly one cache line. The blocked-sweep suites pin it
+// to the reference sweep bit for bit.
 //
 // Per-period layer arenas are pooled automatically, size-classed by
 // (nodes, events) powers of two, shelf-capped and idle-evicted so a

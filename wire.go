@@ -66,9 +66,9 @@ type AdaptiveSpec struct {
 // value plus a stream reference is the paper's default analysis, like
 // option-less NewAnalysis; every field maps onto exactly one
 // functional option (see Options). Fields that do not alter results —
-// Workers, MaxInFlight, LaneWidth, ElongationSpill — are execution
-// hints: the engine pins results bit-identical across them, which is
-// what lets a server cache results without keying on them.
+// Workers, MaxInFlight, ElongationSpill — are execution hints: the
+// engine pins results bit-identical across them, which is what lets a
+// server cache results without keying on them.
 type PlanSpec struct {
 	// Stream references the stream file; exactly one of Stream and
 	// Inline must be set.
@@ -102,7 +102,6 @@ type PlanSpec struct {
 	// Execution hints (never part of a result's identity).
 	Workers         int   `json:"workers,omitempty"`
 	MaxInFlight     int   `json:"max_inflight,omitempty"`
-	LaneWidth       int   `json:"lane_width,omitempty"`
 	ElongationSpill int64 `json:"elongation_spill,omitempty"`
 }
 
@@ -186,9 +185,6 @@ func (spec *PlanSpec) Options() ([]Option, error) {
 	if spec.MaxInFlight != 0 {
 		opts = append(opts, WithMaxInFlight(spec.MaxInFlight))
 	}
-	if spec.LaneWidth != 0 {
-		opts = append(opts, WithLaneWidth(spec.LaneWidth))
-	}
 	if spec.ElongationSpill != 0 {
 		opts = append(opts, WithElongationSpill(spec.ElongationSpill))
 	}
@@ -269,8 +265,8 @@ func (p *Plan) StreamRef() (StreamRef, bool) {
 
 // reportWire is the JSON shape of a Report. The engine instrumentation
 // (EngineStats) is deliberately not part of it: results are
-// deterministic — bit-identical across worker counts, lane widths and
-// in-flight budgets — but the instrumentation of a particular run is
+// deterministic — bit-identical across worker counts and in-flight
+// budgets — but the instrumentation of a particular run is
 // not, and the wire form of a Report must be byte-identical whenever
 // the results are. Serving layers report per-job stats beside the
 // report, not inside it.

@@ -5,7 +5,7 @@ package repro
 // report JSON — the serving layer's byte-identity guarantee rests on
 // Report's wire encoding being stable across releases AND across
 // execution knobs, so the goldens are compared against runs at several
-// worker counts and lane widths. Regenerate with:
+// worker counts and in-flight budgets. Regenerate with:
 //
 //	go test -run TestReportGolden -update-golden
 //
@@ -51,16 +51,17 @@ func specForGolden(seed int64, directed bool) *PlanSpec {
 
 // TestReportGolden pins the wire bytes of Report across 3 seeds ×
 // directed/undirected, and — the determinism half of the contract —
-// checks every (workers, lane width) combination reproduces the golden
-// bytes exactly.
+// checks every (workers, max in-flight) combination reproduces the
+// golden bytes exactly; max in-flight 1 keeps one period resident at a
+// time, 0 the engine default.
 func TestReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not -short")
 	}
 	type knobs struct {
-		workers, laneWidth int
+		workers, maxInFlight int
 	}
-	matrix := []knobs{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
+	matrix := []knobs{{1, 1}, {1, 0}, {3, 1}, {3, 0}}
 
 	for _, seed := range []int64{101, 202, 303} {
 		for _, directed := range []bool{false, true} {
@@ -74,7 +75,7 @@ func TestReportGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts = append(opts, WithWorkers(k.workers), WithLaneWidth(k.laneWidth))
+					opts = append(opts, WithWorkers(k.workers), WithMaxInFlight(k.maxInFlight))
 					plan, err := NewAnalysis(s, opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -90,8 +91,8 @@ func TestReportGolden(t *testing.T) {
 					if reference == nil {
 						reference = data
 					} else if !bytes.Equal(data, reference) {
-						t.Fatalf("report bytes at workers=%d lane=%d differ from workers=%d lane=%d",
-							k.workers, k.laneWidth, matrix[0].workers, matrix[0].laneWidth)
+						t.Fatalf("report bytes at workers=%d max-inflight=%d differ from workers=%d max-inflight=%d",
+							k.workers, k.maxInFlight, matrix[0].workers, matrix[0].maxInFlight)
 					}
 				}
 
