@@ -11,13 +11,15 @@
 // {"v": 1, "<kind>": {...}} whose payload is the root package's wire
 // shape (repro.PlanSpec, repro.Report, repro.ProgressEvent). Decoders
 // reject unknown versions by name, reject unknown envelope and spec
-// fields, and never panic on truncated or mutated input — pinned by
-// FuzzPlanCodec.
+// fields and a second payload field, and never panic on truncated or
+// mutated input — pinned by FuzzPlanCodec, and for the inline-event
+// parser by FuzzInlineEvents.
 package serve
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -32,14 +34,35 @@ import (
 const CodecVersion = 1
 
 // envelope is the one wire frame of the codec: the version plus
-// exactly one payload field.
+// exactly one payload field. Encoders set the payload to the value
+// itself. Decoders set it to the address of their destination pointer,
+// so the payload decodes in place, in the frame's one pass.
 type envelope struct {
-	V        int             `json:"v"`
-	Plan     json.RawMessage `json:"plan,omitempty"`
-	Report   json.RawMessage `json:"report,omitempty"`
-	Progress json.RawMessage `json:"progress,omitempty"`
-	Shard    json.RawMessage `json:"shard,omitempty"`
-	Partial  json.RawMessage `json:"partial,omitempty"`
+	V        int `json:"v"`
+	Plan     any `json:"plan,omitempty"`
+	Report   any `json:"report,omitempty"`
+	Progress any `json:"progress,omitempty"`
+	Shard    any `json:"shard,omitempty"`
+	Partial  any `json:"partial,omitempty"`
+}
+
+// payloads names every payload field of the envelope.
+var payloads = [...]string{"plan", "report", "progress", "shard", "partial"}
+
+// payload returns the envelope's field for the payload kind.
+func (e *envelope) payload(kind string) *any {
+	switch kind {
+	case "plan":
+		return &e.Plan
+	case "report":
+		return &e.Report
+	case "progress":
+		return &e.Progress
+	case "shard":
+		return &e.Shard
+	default:
+		return &e.Partial
+	}
 }
 
 // Shard is the wire form of one distributed-execution shard: the lane
@@ -60,49 +83,30 @@ type Partial struct {
 }
 
 // EncodeShard wraps a shard in the versioned envelope.
-func EncodeShard(sh *Shard) ([]byte, error) {
-	raw, err := json.Marshal(sh)
-	if err != nil {
-		return nil, fmt.Errorf("serve: shard: %w", err)
-	}
-	return json.Marshal(envelope{V: CodecVersion, Shard: raw})
-}
+func EncodeShard(sh *Shard) ([]byte, error) { return encodeEnvelope("shard", sh) }
 
 // DecodeShard decodes a versioned shard message, as strictly as
 // DecodePlan decodes specs.
 func DecodeShard(data []byte) (*Shard, error) {
-	raw, err := decodeEnvelope("shard", data, func(e *envelope) json.RawMessage { return e.Shard })
+	sh, err := decodeEnvelope[Shard]("shard", data)
 	if err != nil {
 		return nil, err
-	}
-	sh := &Shard{}
-	if err := strictUnmarshal(raw, sh); err != nil {
-		return nil, fmt.Errorf("serve: shard: %w", err)
 	}
 	if sh.Spec == nil {
 		return nil, errors.New("serve: shard: missing spec")
 	}
+	canonicalize(sh.Spec)
 	return sh, nil
 }
 
 // EncodePartial wraps a partial result in the versioned envelope.
-func EncodePartial(p *Partial) ([]byte, error) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("serve: partial: %w", err)
-	}
-	return json.Marshal(envelope{V: CodecVersion, Partial: raw})
-}
+func EncodePartial(p *Partial) ([]byte, error) { return encodeEnvelope("partial", p) }
 
 // DecodePartial decodes a versioned partial-result message.
 func DecodePartial(data []byte) (*Partial, error) {
-	raw, err := decodeEnvelope("partial", data, func(e *envelope) json.RawMessage { return e.Partial })
+	p, err := decodeEnvelope[Partial]("partial", data)
 	if err != nil {
 		return nil, err
-	}
-	p := &Partial{}
-	if err := json.Unmarshal(raw, p); err != nil {
-		return nil, fmt.Errorf("serve: partial: %w", err)
 	}
 	if p.Report == nil {
 		return nil, errors.New("serve: partial: missing report")
@@ -111,107 +115,131 @@ func DecodePartial(data []byte) (*Partial, error) {
 }
 
 // EncodePlan wraps a plan spec in the versioned envelope.
-func EncodePlan(spec *repro.PlanSpec) ([]byte, error) {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: plan: %w", err)
-	}
-	return json.Marshal(envelope{V: CodecVersion, Plan: raw})
-}
+func EncodePlan(spec *repro.PlanSpec) ([]byte, error) { return encodeEnvelope("plan", spec) }
 
-// DecodePlan decodes a versioned plan-spec message. Decoding is
-// strict: unknown envelope or spec fields, a missing payload and any
-// version other than CodecVersion are errors naming the offending
-// field.
+// DecodePlan decodes a versioned plan-spec message in one strict pass:
+// the spec decodes in place inside the envelope, and the inline event
+// array through InlineEvents.UnmarshalJSON, a parser without
+// reflection that accepts, rejects and produces exactly what
+// encoding/json does for it. Unknown envelope, spec or event fields, a
+// missing or null payload, a second payload field and any version
+// other than CodecVersion are errors naming the offending field.
+// Empty arrays decode to nil, as omitempty encodes nil and empty
+// alike, so that every decoded spec survives EncodePlan and DecodePlan
+// unchanged.
 func DecodePlan(data []byte) (*repro.PlanSpec, error) {
-	raw, err := decodeEnvelope("plan", data, func(e *envelope) json.RawMessage { return e.Plan })
+	spec, err := decodeEnvelope[repro.PlanSpec]("plan", data)
 	if err != nil {
 		return nil, err
 	}
-	spec := &repro.PlanSpec{}
-	if err := strictUnmarshal(raw, spec); err != nil {
-		return nil, fmt.Errorf("serve: plan: %w", err)
-	}
+	canonicalize(spec)
 	return spec, nil
+}
+
+// canonicalize sets the spec's empty arrays to nil.
+func canonicalize(spec *repro.PlanSpec) {
+	if len(spec.Inline) == 0 {
+		spec.Inline = nil
+	}
+	if len(spec.Metrics) == 0 {
+		spec.Metrics = nil
+	}
+	if len(spec.Selectors) == 0 {
+		spec.Selectors = nil
+	}
+	if len(spec.Grid) == 0 {
+		spec.Grid = nil
+	}
+	if len(spec.Windows) == 0 {
+		spec.Windows = nil
+	}
+	for i := range spec.Windows {
+		if len(spec.Windows[i].Grid) == 0 {
+			spec.Windows[i].Grid = nil
+		}
+	}
 }
 
 // EncodeReport wraps a report in the versioned envelope. The encoding
 // is deterministic: byte-identical whenever the report's results are
 // identical (engine instrumentation does not travel with results).
-func EncodeReport(rep *repro.Report) ([]byte, error) {
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		return nil, fmt.Errorf("serve: report: %w", err)
-	}
-	return json.Marshal(envelope{V: CodecVersion, Report: raw})
-}
+func EncodeReport(rep *repro.Report) ([]byte, error) { return encodeEnvelope("report", rep) }
 
 // DecodeReport decodes a versioned report message.
 func DecodeReport(data []byte) (*repro.Report, error) {
-	raw, err := decodeEnvelope("report", data, func(e *envelope) json.RawMessage { return e.Report })
-	if err != nil {
-		return nil, err
-	}
-	rep := &repro.Report{}
-	if err := json.Unmarshal(raw, rep); err != nil {
-		return nil, fmt.Errorf("serve: report: %w", err)
-	}
-	return rep, nil
+	return decodeEnvelope[repro.Report]("report", data)
 }
 
 // EncodeProgress wraps one engine progress event in the versioned
 // envelope — the payload of each SSE progress frame.
-func EncodeProgress(ev repro.ProgressEvent) ([]byte, error) {
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("serve: progress: %w", err)
-	}
-	return json.Marshal(envelope{V: CodecVersion, Progress: raw})
-}
+func EncodeProgress(ev repro.ProgressEvent) ([]byte, error) { return encodeEnvelope("progress", ev) }
 
 // DecodeProgress decodes a versioned progress-event message.
 func DecodeProgress(data []byte) (repro.ProgressEvent, error) {
-	var ev repro.ProgressEvent
-	raw, err := decodeEnvelope("progress", data, func(e *envelope) json.RawMessage { return e.Progress })
+	ev, err := decodeEnvelope[repro.ProgressEvent]("progress", data)
 	if err != nil {
-		return ev, err
+		return repro.ProgressEvent{}, err
 	}
-	if err := strictUnmarshal(raw, &ev); err != nil {
-		return ev, fmt.Errorf("serve: progress: %w", err)
-	}
-	return ev, nil
+	return *ev, nil
 }
 
-// decodeEnvelope parses the outer frame, rejects wrong versions and
-// returns the payload the pick function selects, erroring when it is
-// absent.
-func decodeEnvelope(kind string, data []byte, pick func(*envelope) json.RawMessage) (json.RawMessage, error) {
-	var env envelope
-	if err := strictUnmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("serve: %s: envelope: %w", kind, err)
+// encodeEnvelope wraps payload in the envelope as the kind field.
+func encodeEnvelope(kind string, payload any) ([]byte, error) {
+	env := envelope{V: CodecVersion}
+	*env.payload(kind) = payload
+	data, err := json.Marshal(env)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", kind, err)
+	}
+	return data, nil
+}
+
+// decodeEnvelope decodes data in one strict pass: unknown fields and
+// trailing data are refused, and the kind payload decodes straight
+// into the returned value. Every other payload field is captured only
+// to be refused by name. A null payload counts as absent. When the
+// pass fails on a message of another version, the version is the error
+// reported: that message was not written for this build's types.
+func decodeEnvelope[T any](kind string, data []byte) (*T, error) {
+	var (
+		env    envelope
+		dst    *T
+		others [len(payloads)]*json.RawMessage
+	)
+	for i, k := range payloads {
+		if k == kind {
+			*env.payload(k) = &dst
+		} else {
+			*env.payload(k) = &others[i]
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&env)
+	if err == nil && len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errors.New("trailing data after value")
+	}
+	if err != nil {
+		var version struct {
+			V int `json:"v"`
+		}
+		if json.Unmarshal(data, &version) != nil || version.V == CodecVersion {
+			return nil, fmt.Errorf("serve: %s: envelope: %w", kind, err)
+		}
+		env.V = version.V
 	}
 	if env.V != CodecVersion {
 		return nil, fmt.Errorf("serve: %s: v: unsupported codec version %d (this build speaks %d)", kind, env.V, CodecVersion)
 	}
-	raw := pick(&env)
-	if len(raw) == 0 {
+	if dst == nil {
 		return nil, fmt.Errorf("serve: %s: missing %q payload field", kind, kind)
 	}
-	return raw, nil
-}
-
-// strictUnmarshal is json.Unmarshal with unknown fields rejected and
-// trailing garbage refused.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	for i, raw := range others {
+		if raw != nil {
+			return nil, fmt.Errorf("serve: %s: %s: unexpected payload field beside %q (an envelope carries exactly one)", kind, payloads[i], kind)
+		}
 	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after value")
-	}
-	return nil
+	return dst, nil
 }
 
 // resultKey is the canonical identity of a spec's results: everything
@@ -273,11 +301,27 @@ func SpecKey(spec *repro.PlanSpec, streamID string) (string, error) {
 
 // InlineHash fingerprints a spec's inline events: the stream identity
 // SpecKey uses when the spec carries its stream in-line rather than by
-// columnar reference.
+// columnar reference. It is the hex SHA-256, prefixed "inline:", of
+// each event in order as uvarint(len(U)), U, uvarint(len(V)), V,
+// varint(T), the encoding/binary varints. Every field is
+// length-prefixed or self-delimiting, so distinct event sequences
+// never encode alike.
 func InlineHash(events []repro.InlineEvent) string {
 	h := sha256.New()
+	// Events are written in batches of about 3 KiB: one Write per event
+	// costs a third more.
+	buf := make([]byte, 0, 4096)
 	for _, e := range events {
-		fmt.Fprintf(h, "%q %q %d\n", e.U, e.V, e.T)
+		buf = binary.AppendUvarint(buf, uint64(len(e.U)))
+		buf = append(buf, e.U...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.V)))
+		buf = append(buf, e.V...)
+		buf = binary.AppendVarint(buf, e.T)
+		if len(buf) >= 3072 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return "inline:" + hex.EncodeToString(h.Sum(nil))
 }

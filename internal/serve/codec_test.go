@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,6 +74,8 @@ func TestPlanCodecRejectsVersions(t *testing.T) {
 		`{"v":0,"plan":{}}`,
 		`{"plan":{}}`,
 		`{"v":-1,"plan":{}}`,
+		// A future version's payload need not fit this build's types.
+		`{"v":2,"plan":{"future_knob":1}}`,
 	} {
 		_, err := DecodePlan([]byte(msg))
 		if err == nil {
@@ -103,6 +107,19 @@ func TestPlanCodecStrictness(t *testing.T) {
 				t.Fatalf("decoded %q without error", msg)
 			}
 		})
+	}
+	// An envelope carries exactly one payload: a second payload field
+	// and a null payload are refused, by name.
+	for _, c := range []struct{ msg, field string }{
+		{`{"v":1,"plan":{},"report":{"global":{}}}`, `report: unexpected payload field`},
+		{`{"v":1,"report":{"global":{}},"plan":{}}`, `report: unexpected payload field`},
+		{`{"v":1,"plan":null}`, `missing "plan" payload`},
+		{`{"v":1,"plan":{}}}`, `trailing data`},
+		{`{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1,"w":2}]}}`, `unknown field "w"`},
+	} {
+		if _, err := DecodePlan([]byte(c.msg)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s decoded with error %v, want one containing %q", c.msg, err, c.field)
+		}
 	}
 	// Removed knobs are unknown fields, not silently ignored hints.
 	for _, removed := range []struct{ name, field string }{
@@ -238,14 +255,44 @@ func TestInlineHash(t *testing.T) {
 	if h1 == InlineHash(evs[:1]) {
 		t.Fatal("prefix hashed the same as the full stream")
 	}
-	// Names are quoted: ("a b","c") and ("a","b c") must not collide.
-	x := InlineHash([]repro.InlineEvent{{U: "a b", V: "c", T: 1}})
-	y := InlineHash([]repro.InlineEvent{{U: "a", V: "b c", T: 1}})
-	if x == y {
-		t.Fatal("ambiguous event encodings collided")
-	}
 	if !strings.HasPrefix(h1, "inline:") {
 		t.Fatalf("inline hash %q lacks its namespace prefix", h1)
+	}
+	// The fingerprint is the documented binary encoding: uvarint
+	// lengths before the names, a zigzag varint time.
+	sum := sha256.Sum256([]byte{1, 'a', 2, 'b', 'c', 1})
+	if got, want := InlineHash([]repro.InlineEvent{{U: "a", V: "bc", T: -1}}), "inline:"+hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("InlineHash = %s, want %s", got, want)
+	}
+	// Names are length-prefixed: quotes, spaces, newlines and empty
+	// names never make two event sequences encode alike.
+	seqs := [][]repro.InlineEvent{
+		nil,
+		{{}},
+		{{}, {}},
+		{{U: "a b", V: "c", T: 1}},
+		{{U: "a", V: "b c", T: 1}},
+		{{U: `a"`, V: "b", T: 1}},
+		{{U: "a", V: `"b`, T: 1}},
+		{{U: `a" "b`, V: "", T: 1}},
+		{{U: "a\n", V: "b", T: 1}},
+		{{U: "a", V: "\nb", T: 1}},
+		{{U: "a\nb", V: "c", T: 1}},
+		{{U: "", V: "ab", T: 1}},
+		{{U: "ab", V: "", T: 1}},
+		{{U: "a", V: "b", T: 1}},
+		{{U: "a", V: "b", T: 1}, {}},
+		{{U: "a", V: "b", T: 1}, {U: "a", V: "b", T: 1}},
+		{{U: "a", V: "b", T: 11}},
+		{{U: "a", V: "b", T: -1}},
+	}
+	seen := make(map[string]int, len(seqs))
+	for i, seq := range seqs {
+		h := InlineHash(seq)
+		if j, dup := seen[h]; dup {
+			t.Fatalf("event sequences %q and %q hash alike", seqs[j], seq)
+		}
+		seen[h] = i
 	}
 }
 

@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // FuzzPlanCodec throws arbitrary bytes at the plan decoder and pins
@@ -20,6 +26,14 @@ func FuzzPlanCodec(f *testing.F) {
 		[]byte(`{"v":1,"plan":{"stream":{"path":"a.lsc","hash":"ff"},"grid":[60,3600]}}`),
 		[]byte(`{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1}],"workers":3}}`),
 		[]byte(`{"v":1,"plan":{"windows":[{"start":0,"end":9}],"adaptive":{"bins":96}}}`),
+		// Empty arrays: omitempty drops them on re-encode, so they must
+		// decode to nil for the round trip to hold.
+		[]byte(`{"v":1,"plan":{"metrics":[]}}`),
+		[]byte(`{"v":1,"plan":{"inline":[]}}`),
+		[]byte(`{"v":1,"plan":{"grid":[]}}`),
+		[]byte(`{"v":1,"plan":{"selectors":[]}}`),
+		[]byte(`{"v":1,"plan":{"windows":[]}}`),
+		[]byte(`{"v":1,"plan":{"windows":[{"start":0,"end":9,"grid":[]}]}}`),
 		[]byte(`{"v":2,"plan":{}}`),
 		[]byte(`{"v":1}`),
 		[]byte(`{"v":1,"plan":{"nope":1}}`),
@@ -71,6 +85,98 @@ func FuzzPlanCodec(f *testing.F) {
 			t.Fatal("round-tripped spec derived a different cache key")
 		}
 	})
+}
+
+// FuzzInlineEvents checks the inline-event parser,
+// repro.InlineEvents.UnmarshalJSON, against the encoding/json decoding
+// it replaces: on every input both accept or both reject, and what
+// they accept decodes to the same events.
+func FuzzInlineEvents(f *testing.F) {
+	for _, s := range []string{
+		`[{"u":"a","v":"b","t":1},{"u":"b","v":"c","t":2}]`,
+		`[{"u":"a\"b","v":"c\\d","t":1}]`,
+		`[{"u":"\u00e9","v":"\ud83d\ude00","t":1}]`,
+		`[{"u":"\x","v":"b","t":1}]`,
+		"[{\"u\":\"a\xff\xfe\",\"v\":\"\xed\xa0\x80\",\"t\":1}]",
+		"[{\"u\xff\":\"a\",\"v\":\"b\",\"t\":1}]",
+		"[{\"u\":\"a\x01\",\"v\":\"b\",\"t\":1}]",
+		`[{"U":"a","V":"b","T":1}]`,
+		`[{"\u0074":1,"\u0055":"a"}]`,
+		`[{"u":"a","u":"b","U":"c","t":1,"t":2}]`,
+		`[null,{"u":"a","v":"b","t":1},null]`,
+		`[{"t":5},{"v":"b"},{}]`,
+		`[{"u":"a","v":null,"t":null}]`,
+		`[{"u":"a","v":"b","t":1.0}]`,
+		`[{"u":"a","v":"b","t":1e3}]`,
+		`[{"u":"a","v":"b","t":-0}]`,
+		`[{"u":"a","v":"b","t":01}]`,
+		`[{"u":"a","v":"b","t":9223372036854775807}]`,
+		`[{"u":"a","v":"b","t":9223372036854775808}]`,
+		`[{"u":"a","v":"b","t":-9223372036854775808}]`,
+		`[{"u":"a","v":"b","t":-9223372036854775809}]`,
+		`[{"u":"a","v":"b","t":"1"}]`,
+		`[{"u":1,"v":"b","t":1}]`,
+		`[{"u":"a","v":"b","t":1,"w":2}]`,
+		`[{"u":"a","v":"b","t":1,"uu":null}]`,
+		`[{"w":{"u":"a"}}]`,
+		`[]`,
+		`[[]]`,
+		`[{}]`,
+		`[1]`,
+		`{}`,
+		`null`,
+		`nul`,
+		``,
+		`[{"\x":1}]`,
+		`[{"u" "a"}]`,
+		`[{"u":"a" "v":"b"}]`,
+		`[{"u":"a}]`,
+		`[{"u":"a",}]`,
+		`[{"u":"a"},]`,
+		`[{"u":"a"}]]`,
+		`[{"u":"a"}`,
+		" \t\r\n[ \t\r\n{ \"u\" : \"a\" ,\n\"v\"\t:\r\"b\" , \"t\" : 1 } , null ] \n",
+	} {
+		f.Add([]byte(s))
+	}
+	// Each input decodes into an empty slice, and into one of length 1
+	// whose backing array holds a second element: decoding overwrites
+	// the elements it reaches, field by field.
+	bases := []func() []repro.InlineEvent{
+		func() []repro.InlineEvent { return nil },
+		func() []repro.InlineEvent {
+			return []repro.InlineEvent{{U: "x", V: "y", T: 1}, {U: "z", V: "w", T: 2}}[:1]
+		},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, base := range bases {
+			got := repro.InlineEvents(base())
+			gotErr := got.UnmarshalJSON(data)
+			want, wantErr := oracleInlineEvents(data, base())
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("parser error %v, encoding/json error %v, on %q", gotErr, wantErr, data)
+			}
+			if gotErr == nil && !reflect.DeepEqual([]repro.InlineEvent(got), want) {
+				t.Fatalf("parser decoded %#v, encoding/json %#v, from %q", got, want, data)
+			}
+		}
+	})
+}
+
+// oracleInlineEvents decodes data into events the way encoding/json
+// decodes an inline array: as []repro.InlineEvent, a type without the
+// custom decoder, with unknown fields disallowed and nothing allowed
+// after the value.
+func oracleInlineEvents(data []byte, events []repro.InlineEvent) ([]repro.InlineEvent, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&events); err != nil {
+		return nil, err
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after the value: %v %v", tok, err)
+	}
+	return events, nil
 }
 
 // FuzzReportCodec pins the same never-panic and round-trip properties

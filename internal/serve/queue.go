@@ -47,6 +47,12 @@ var (
 	ErrStreamChanged = errors.New("serve: stream changed")
 )
 
+// maxFinishedJobs bounds the job records a queue keeps once their runs
+// have finished. Past it the oldest-finished record is dropped, and its
+// ID answers 404 like one never issued. Unfinished jobs are never
+// dropped.
+const maxFinishedJobs = 1024
+
 // QueueConfig shapes a queue's budgets and defaults.
 type QueueConfig struct {
 	// MaxJobs bounds the runs admitted and not yet finished (queued
@@ -180,6 +186,7 @@ type run struct {
 	key    string
 	ctx    context.Context
 	cancel context.CancelFunc
+	jobs   []string // IDs of the jobs riding this run; guarded by Queue.mu
 
 	mu       sync.Mutex
 	state    JobState
@@ -376,6 +383,7 @@ type Queue struct {
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*Job
+	finished []string                 // IDs of finished jobs, oldest first
 	inflight map[string]*run          // result key → admitted, unfinished run
 	cache    map[string]*cachedResult // result key → completed result
 	cacheAge []string                 // completion order, for eviction
@@ -416,7 +424,8 @@ func (q *Queue) Stats() QueueStats {
 	return q.stats
 }
 
-// Job looks a job up by ID.
+// Job looks a job up by ID. Every unfinished job is found, but of the
+// finished ones only the maxFinishedJobs that finished last.
 func (q *Queue) Job(id string) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -563,6 +572,7 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 		job.CacheHit = true
 		job.run = r
 		q.jobs[job.ID] = job
+		q.retireLocked(job.ID)
 		q.mu.Unlock()
 		plan.Close()
 		return job, nil
@@ -573,6 +583,7 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 		q.stats.Coalesced++
 		job.Coalesced = true
 		job.run = r
+		r.jobs = append(r.jobs, job.ID)
 		q.jobs[job.ID] = job
 		if opts.Attached {
 			r.acquire()
@@ -603,6 +614,7 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 		r.pin()
 	}
 	job.run = r
+	r.jobs = append(r.jobs, job.ID)
 	q.jobs[job.ID] = job
 	q.inflight[key] = r
 	q.admitted++
@@ -684,6 +696,8 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 
 	delete(q.inflight, r.key)
 	q.admitted--
+	q.retireLocked(r.jobs...)
+	r.jobs = nil
 	switch {
 	case !started:
 		// Cancelled while waiting for its tenant budget: no engine
@@ -710,6 +724,16 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 	r.mu.Unlock()
 	q.mu.Unlock()
 	r.cancel()
+}
+
+// retireLocked records jobs as finished and drops the oldest-finished
+// records past maxFinishedJobs. Callers hold q.mu.
+func (q *Queue) retireLocked(ids ...string) {
+	q.finished = append(q.finished, ids...)
+	for len(q.finished) > maxFinishedJobs {
+		delete(q.jobs, q.finished[0])
+		q.finished = q.finished[1:]
+	}
 }
 
 // newIDLocked mints a job ID: random hex with a sequence fallback so

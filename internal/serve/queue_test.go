@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -485,6 +486,91 @@ func TestQueueStreamRootConfinement(t *testing.T) {
 		Stream: &repro.StreamRef{Path: "streams/a.lsc", Hash: "0000000000000000"},
 	}, SubmitOptions{}); !errors.Is(err, ErrStreamChanged) {
 		t.Fatalf("mismatched fingerprint error = %v, want ErrStreamChanged", err)
+	}
+}
+
+// TestQueueEvictsOldestFinishedJobs: the queue keeps the records of the
+// maxFinishedJobs jobs that finished last and drops older-finished ones
+// first; an unfinished job is never dropped however old it is, and an
+// evicted ID answers 404.
+func TestQueueEvictsOldestFinishedJobs(t *testing.T) {
+	ts, q := testServer(t, QueueConfig{})
+	ctx := context.Background()
+	alive := func(j *Job) bool {
+		_, ok := q.Job(j.ID)
+		return ok
+	}
+
+	// Tenant "held" has one budget slot, taken here: its run stays
+	// queued, unfinished, until the test frees the slot.
+	slot := make(chan struct{}, 1)
+	slot <- struct{}{}
+	q.mu.Lock()
+	q.tenants["held"] = slot
+	q.mu.Unlock()
+	held, err := q.Submit(ctx, smallSpec(t, 101), SubmitOptions{Tenant: "held"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := smallSpec(t, 103)
+	first, err := q.Submit(ctx, spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]*Job, maxFinishedJobs)
+	for i := range hits {
+		if hits[i], err = q.Submit(ctx, spec, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !hits[i].CacheHit {
+			t.Fatalf("submit %d was not a cache hit", i)
+		}
+	}
+	// maxFinishedJobs+1 finished jobs: only the first to finish is gone.
+	if alive(first) || !alive(hits[0]) || !alive(hits[len(hits)-1]) {
+		t.Fatalf("after %d finished jobs: first kept %v, oldest hit kept %v, newest hit kept %v; want false, true, true",
+			maxFinishedJobs+1, alive(first), alive(hits[0]), alive(hits[len(hits)-1]))
+	}
+	if !alive(held) {
+		t.Fatal("an unfinished job was evicted")
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of an evicted job: status %d, want 404", resp.StatusCode)
+	}
+
+	// The held job, submitted first, finishes last: it outlives every
+	// record that finished before it.
+	<-slot
+	if _, err := held.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if alive(hits[0]) || !alive(hits[1]) || !alive(held) {
+		t.Fatalf("after the held job finished: oldest hit kept %v, next hit kept %v, held kept %v; want false, true, true",
+			alive(hits[0]), alive(hits[1]), alive(held))
+	}
+	for i := 0; i < maxFinishedJobs-1; i++ {
+		if _, err := q.Submit(ctx, spec, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if alive(hits[len(hits)-1]) || !alive(held) {
+		t.Fatalf("after %d more hits: newest old hit kept %v, held kept %v; want false, true",
+			maxFinishedJobs-1, alive(hits[len(hits)-1]), alive(held))
+	}
+	if _, err := q.Submit(ctx, spec, SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if alive(held) {
+		t.Fatal("the held job outlived maxFinishedJobs later-finished jobs")
 	}
 }
 

@@ -53,6 +53,11 @@ type InlineEvent struct {
 	T int64  `json:"t"`
 }
 
+// InlineEvents is the type of PlanSpec.Inline. It is assignable to and
+// from []InlineEvent; its only addition is a decoder (UnmarshalJSON)
+// that reads the array without reflection.
+type InlineEvents []InlineEvent
+
 // AdaptiveSpec is the wire form of WithAdaptive's AdaptiveConfig, the
 // segmentation policy (everything else of an adaptive run comes from
 // the spec's own knobs, exactly as with WithAdaptive).
@@ -74,7 +79,7 @@ type PlanSpec struct {
 	// Inline must be set.
 	Stream *StreamRef `json:"stream,omitempty"`
 	// Inline carries the stream's events in the spec itself.
-	Inline []InlineEvent `json:"inline,omitempty"`
+	Inline InlineEvents `json:"inline,omitempty"`
 
 	// Metrics are the metric names WithMetrics/ParseMetrics accept
 	// ("occupancy", "classic", "distance", "loss", "elongation",
