@@ -19,7 +19,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/classic"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/linkstream"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
@@ -32,27 +31,26 @@ var ErrNoEvents = errors.New("repro: stream has no events")
 
 // ErrPlanTooLarge is returned, wrapped with the offending option and
 // its bound, when an option whose value becomes an allocation size
-// exceeds its limit (MaxGridPoints, MaxRefine, MaxHistogramBins,
-// MaxAdaptiveBins, MaxWindows). MaxGridPoints bounds explicit grids
-// too: the WithGrid grid and each Window.Grid may hold at most
-// MaxGridPoints periods, like a derived grid. MaxWindows bounds the
-// number of WithWindows windows, each a scope with its own grid.
+// exceeds its limit (MaxGridPoints, MaxRefine, MaxAdaptiveBins,
+// MaxWindows). MaxGridPoints bounds explicit grids too: the WithGrid
+// grid and each Window.Grid may hold at most MaxGridPoints periods,
+// like a derived grid. MaxWindows bounds the number of WithWindows
+// windows, each a scope with its own grid.
 var ErrPlanTooLarge = errors.New("repro: plan exceeds a size limit")
 
 // Limits on the options whose value becomes an allocation size: a
 // derived grid pre-allocates one slot per requested point (WithGridPoints,
 // and WithRefine's refinement grid), an explicit grid (WithGrid,
-// Window.Grid) one result slot and one period job per entry, and
-// histogram and adaptive bins size one counter array per period or per
-// stream, and every window is a scope with its own grid and results.
+// Window.Grid) one result slot and one period job per entry, adaptive
+// bins size one counter array per stream, and every window is a scope
+// with its own grid and results.
 // NewAnalysis rejects larger values, so an oversized spec fails before
 // any allocation.
 const (
-	MaxGridPoints    = 1 << 12
-	MaxRefine        = 1 << 12
-	MaxHistogramBins = 1 << 16
-	MaxAdaptiveBins  = 1 << 16
-	MaxWindows       = 1 << 12
+	MaxGridPoints   = 1 << 12
+	MaxRefine       = 1 << 12
+	MaxAdaptiveBins = 1 << 16
+	MaxWindows      = 1 << 12
 )
 
 // checkLimits enforces the allocation-size limits on the options.
@@ -74,7 +72,6 @@ func (c *planConfig) checkLimits() error {
 		{"windows", len(c.windows), MaxWindows},
 		{"window grid length", windowGrid, MaxGridPoints},
 		{"refine", c.refine, MaxRefine},
-		{"histogram bins", c.histogramBins, MaxHistogramBins},
 		{"adaptive bins", adaptiveBins, MaxAdaptiveBins},
 	} {
 		if l.v > l.max {
@@ -178,8 +175,6 @@ func NewAnalysis(s *Stream, opts ...Option) (*Plan, error) {
 			return nil, errors.New("repro: WithAdaptive and WithSegments cannot be combined")
 		case cfg.gridSet:
 			return nil, errors.New("repro: WithAdaptive derives its own candidate grids; shape them with WithGridPoints and WithMinDelta instead of WithGrid")
-		case cfg.histogramBins > 0:
-			return nil, errors.New("repro: WithAdaptive does not support the histogram backend")
 		}
 	}
 	if !cfg.gridSet {
@@ -202,13 +197,6 @@ func NewAnalysis(s *Stream, opts ...Option) (*Plan, error) {
 			dur = s.Duration()
 		}
 		cfg.grid = core.LogGrid(lo, dur, cfg.points())
-	}
-	if cfg.histogramBins > 0 && cfg.metricOn(MetricOccupancy) {
-		for _, sel := range cfg.selectors {
-			if _, ok := sel.(dist.MKProximitySelector); !ok {
-				return nil, fmt.Errorf("repro: selector %s does not support the histogram backend", sel.Name())
-			}
-		}
 	}
 	if cfg.adaptive == nil && !cfg.anyMetric() && len(cfg.observers) == 0 && len(cfg.segments) == 0 {
 		return nil, errors.New("repro: analysis plan computes nothing: select metrics, observers or segments")
@@ -512,10 +500,9 @@ func (p *Plan) scopes() ([]*scopeRun, error) {
 // newSearch stages the plan's occupancy search over grid.
 func (c *planConfig) newSearch(grid []int64) (*core.ScaleSearch, error) {
 	return core.NewScaleSearch(core.Options{
-		Selectors:     c.selectors,
-		Refine:        c.refine,
-		HistogramBins: c.histogramBins,
-		Grid:          grid,
+		Selectors: c.selectors,
+		Refine:    c.refine,
+		Grid:      grid,
 	})
 }
 
@@ -626,11 +613,10 @@ func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
 func (p *Plan) localRound(stats *EngineStats) roundExecutor {
 	c := &p.cfg
 	engOpt := sweep.Options{
-		Directed:      c.directed,
-		Workers:       c.workers,
-		MaxInFlight:   c.maxInFlight,
-		HistogramBins: c.histogramBins,
-		Stats:         stats,
+		Directed:    c.directed,
+		Workers:     c.workers,
+		MaxInFlight: c.maxInFlight,
+		Stats:       stats,
 	}
 	return func(ctx context.Context, round int, scopes []*scopeRun, grids [][]int64) ([]Curves, error) {
 		batch := make([]sweep.SegmentObserver, 0, len(scopes)+len(c.segments))

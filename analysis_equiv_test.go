@@ -43,7 +43,6 @@ func planOptions(opt Options) []Option {
 		WithWorkers(opt.Workers),
 		WithSelectors(opt.Selectors...),
 		WithRefine(opt.Refine),
-		WithHistogramBins(opt.HistogramBins),
 		WithMaxInFlight(opt.MaxInFlight),
 	}
 	if len(opt.Grid) > 0 {
@@ -78,7 +77,6 @@ func TestSweepWrapperEquivalence(t *testing.T) {
 		{},
 		{Selectors: AllSelectors()},
 		{Directed: true, Workers: 2, MaxInFlight: 1},
-		{HistogramBins: 512},
 	} {
 		want, err := core.Sweep(context.Background(), s, grid, opt)
 		if err != nil {

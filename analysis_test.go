@@ -40,8 +40,6 @@ func TestNewAnalysisValidation(t *testing.T) {
 		{"adaptive with windows", s, []Option{WithAdaptive(AdaptiveConfig{}), WithWindows(Window{Start: 0, End: 10})}},
 		{"adaptive with explicit grid", s, []Option{WithAdaptive(AdaptiveConfig{}), WithGrid(1, 2)}},
 		{"adaptive with segments", s, []Option{WithAdaptive(AdaptiveConfig{}), WithSegments(SegmentObserver{Grid: []int64{1}})}},
-		{"adaptive with histogram", s, []Option{WithAdaptive(AdaptiveConfig{}), WithHistogramBins(64)}},
-		{"histogram with non-MK selector", s, []Option{WithHistogramBins(64), WithSelectors(AllSelectors()...)}},
 		{"nothing to compute", s, []Option{WithMetrics()}},
 		{"window without metric", s, []Option{WithMetrics(), WithObservers(NewOccupancyObserver(nil)), WithWindows(Window{Start: 0, End: 10_000})}},
 		{"empty window", s, []Option{WithWindows(Window{Start: 5, End: 5})}},
@@ -91,7 +89,6 @@ func TestNewAnalysisSizeLimits(t *testing.T) {
 		{"window grid", func(n int) Option { return WithWindows(Window{Start: t0, End: t1 + 1, Grid: grid(n)}) }, MaxGridPoints, true},
 		{"windows", windows, MaxWindows, true},
 		{"refine", WithRefine, MaxRefine, false},
-		{"histogram bins", WithHistogramBins, MaxHistogramBins, false},
 		{"adaptive bins", func(n int) Option { return WithAdaptive(AdaptiveConfig{Bins: n}) }, MaxAdaptiveBins, false},
 	} {
 		if _, err := NewAnalysis(s, tc.opt(tc.max)); err != nil {

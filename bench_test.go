@@ -179,26 +179,14 @@ func BenchmarkAblationSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMKExact vs BenchmarkAblationMKHistogram: exact
-// piecewise M-K integration over the sorted sample vs the fixed-bin
-// streaming approximation.
+// BenchmarkAblationMKExact: the occupancy sweep scored by exact
+// piecewise M-K integration over each period's sorted sample.
 func BenchmarkAblationMKExact(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Sweep(context.Background(), s, grid, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationMKHistogram(b *testing.B) {
-	s := irvineStream(b)
-	grid := core.LogGrid(3600, s.Duration(), 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{HistogramBins: 2048}); err != nil {
 			b.Fatal(err)
 		}
 	}

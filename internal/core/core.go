@@ -48,11 +48,6 @@ type Options struct {
 	// the neighbours of the best ∆ of the initial sweep and re-sweeps
 	// once, sharpening γ beyond the grid resolution.
 	Refine int
-	// HistogramBins, when positive, scores with a fixed-bin histogram
-	// instead of the exact sample. Only the M-K selectors support this
-	// backend; it is intended for very large trip populations and the
-	// ablation benchmarks.
-	HistogramBins int
 	// MaxInFlight bounds how many aggregation periods the sweep engine
 	// keeps resident at once (CSR arena plus occupancy products); <= 0
 	// selects the engine default. Peak sweep memory is
@@ -65,17 +60,6 @@ func (o Options) selectors() []dist.Selector {
 		return []dist.Selector{dist.MKProximitySelector{}}
 	}
 	return o.Selectors
-}
-
-// validateHistogramSelectors rejects selectors the fixed-bin histogram
-// backend cannot score; only the M-K proximity has a streamed form.
-func validateHistogramSelectors(sels []dist.Selector) error {
-	for _, sel := range sels {
-		if _, ok := sel.(dist.MKProximitySelector); !ok {
-			return fmt.Errorf("core: selector %s does not support the histogram backend", sel.Name())
-		}
-	}
-	return nil
 }
 
 // DefaultGridPoints is the number of candidate periods DefaultGrid
@@ -205,10 +189,10 @@ func sortedEvents(s *linkstream.Stream, directed bool) []linkstream.Event {
 }
 
 // OccupancyObserver is the occupancy method as a sweep-engine observer:
-// it scores every period's occupancy distribution (exact sample or
-// streamed histogram) with the configured selectors. Register it with
-// sweep.Run — or a repro plan's WithObservers — to fuse the occupancy
-// curve with other metrics in one pass.
+// it scores every period's exact occupancy sample with the configured
+// selectors. Register it with sweep.Run — or a repro plan's
+// WithObservers — to fuse the occupancy curve with other metrics in one
+// pass.
 type OccupancyObserver struct {
 	sels   []dist.Selector
 	points []SweepPoint
@@ -235,31 +219,13 @@ func (o *OccupancyObserver) Begin(v *sweep.StreamView) error {
 // ObservePeriod implements sweep.Observer. It runs concurrently for
 // different periods; each call only writes its own grid slot.
 func (o *OccupancyObserver) ObservePeriod(p *sweep.Period) error {
-	pt := SweepPoint{Delta: p.Delta, Scores: make([]float64, len(o.sels))}
-	if p.Histogram != nil {
-		// The histogram backend only approximates the M-K score; reject
-		// other selectors here too, so the engine-level entry points
-		// (sweep.Run, a repro plan's WithObservers) cannot silently fill
-		// their slots with the wrong score.
-		for _, sel := range o.sels {
-			if _, ok := sel.(dist.MKProximitySelector); !ok {
-				return fmt.Errorf("core: selector %s does not support the histogram backend", sel.Name())
-			}
-		}
-		pt.Trips = int(p.Histogram.N())
-		mk := p.Histogram.MKProximity()
-		for si := range pt.Scores {
-			pt.Scores[si] = mk
-		}
-	} else {
-		sample, err := dist.NewSampleFromChunks(p.OccupancyCount, p.OccupancyChunks)
-		if err != nil {
-			return err
-		}
-		pt.Trips = sample.N()
-		for si, sel := range o.sels {
-			pt.Scores[si] = sel.Score(sample)
-		}
+	sample, err := dist.NewSampleFromChunks(p.OccupancyCount, p.OccupancyChunks)
+	if err != nil {
+		return err
+	}
+	pt := SweepPoint{Delta: p.Delta, Trips: sample.N(), Scores: make([]float64, len(o.sels))}
+	for si, sel := range o.sels {
+		pt.Scores[si] = sel.Score(sample)
 	}
 	o.points[p.Index] = pt
 	return nil
@@ -286,18 +252,12 @@ func Sweep(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options)
 	if len(grid) == 0 {
 		return nil, errors.New("core: empty candidate grid")
 	}
-	sels := opt.selectors()
-	if opt.HistogramBins > 0 {
-		if err := validateHistogramSelectors(sels); err != nil {
-			return nil, err
-		}
-	}
 	for _, delta := range grid {
 		if delta <= 0 {
 			return nil, fmt.Errorf("core: non-positive aggregation period %d", delta)
 		}
 	}
-	obs := NewOccupancyObserver(sels)
+	obs := NewOccupancyObserver(opt.selectors())
 	if err := sweep.Run(ctx, s, grid, opt.engineOptions(), obs); err != nil {
 		return nil, err
 	}
@@ -308,10 +268,9 @@ func Sweep(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options)
 // engine's.
 func (o Options) engineOptions() sweep.Options {
 	return sweep.Options{
-		Directed:      o.Directed,
-		Workers:       o.Workers,
-		MaxInFlight:   o.MaxInFlight,
-		HistogramBins: o.HistogramBins,
+		Directed:    o.Directed,
+		Workers:     o.Workers,
+		MaxInFlight: o.MaxInFlight,
 	}
 }
 

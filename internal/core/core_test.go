@@ -130,14 +130,6 @@ func TestSweepErrors(t *testing.T) {
 	if _, err := OccupancySample(empty, 5, Options{}); !errors.Is(err, ErrNoEvents) {
 		t.Fatalf("empty stream sample err = %v", err)
 	}
-	// Histogram backend with a non-MK selector is rejected.
-	_, err := Sweep(context.Background(), s, []int64{10}, Options{
-		HistogramBins: 64,
-		Selectors:     []dist.Selector{dist.CRESelector{}},
-	})
-	if err == nil {
-		t.Fatal("histogram + CRE should be rejected")
-	}
 }
 
 func TestSaturationScaleUnimodalCurve(t *testing.T) {
@@ -180,31 +172,6 @@ func TestSaturationScaleRefine(t *testing.T) {
 	for i := 1; i < len(refined.Points); i++ {
 		if refined.Points[i].Delta <= refined.Points[i-1].Delta {
 			t.Fatalf("merged points not sorted: %v", refined.Points)
-		}
-	}
-}
-
-func TestHistogramBackendMatchesExact(t *testing.T) {
-	s := uniformStream(t, 6, 3, 5000, 5)
-	grid := LogGrid(1, 5000, 10)
-	exact, err := Sweep(context.Background(), s, grid, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := Sweep(context.Background(), s, grid, Options{Workers: 1, HistogramBins: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
-		d := exact[i].Scores[0] - hist[i].Scores[0]
-		if d < 0 {
-			d = -d
-		}
-		if d > 2.0/4096*4 {
-			t.Fatalf("delta %d: exact %v vs histogram %v", exact[i].Delta, exact[i].Scores[0], hist[i].Scores[0])
-		}
-		if exact[i].Trips != hist[i].Trips {
-			t.Fatalf("trip counts differ at delta %d: %d vs %d", exact[i].Delta, exact[i].Trips, hist[i].Trips)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/linkstream"
-	"repro/internal/sweep"
 )
 
 // mixedStream builds a seeded workload with random orientation so
@@ -81,42 +80,6 @@ func TestSweepMatchesReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestHistogramRejectsNonMKViaEngine pins the observer-level guard:
-// driving the engine directly (as a repro plan's WithObservers does)
-// with the histogram backend and a non-M-K selector must fail rather
-// than silently fill every slot with the M-K score.
-func TestHistogramRejectsNonMKViaEngine(t *testing.T) {
-	s := mixedStream(t, 5, 2, 500, 9)
-	obs := NewOccupancyObserver(dist.AllSelectors())
-	err := sweep.Run(context.Background(), s, []int64{10, 100}, sweep.Options{HistogramBins: 32}, obs)
-	if err == nil {
-		t.Fatal("histogram mode with non-M-K selectors must error")
-	}
-}
-
-// TestSweepHistogramMatchesReference covers the streamed-histogram
-// backend against the reference's per-∆ histogram.
-func TestSweepHistogramMatchesReference(t *testing.T) {
-	s := mixedStream(t, 7, 3, 2000, 4)
-	grid := []int64{2, 25, 300, 2000}
-	opt := Options{HistogramBins: 128}
-	want, err := SweepReference(s, grid, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 3
-	opt.MaxInFlight = 2
-	got, err := Sweep(context.Background(), s, grid, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Trips != want[i].Trips || got[i].Scores[0] != want[i].Scores[0] {
-			t.Fatalf("point %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
 }

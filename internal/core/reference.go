@@ -40,24 +40,13 @@ func SweepReference(s *linkstream.Stream, grid []int64, opt Options) ([]SweepPoi
 		for i, tr := range trips {
 			occ[i] = tr.Occupancy()
 		}
-		p := SweepPoint{Delta: delta, Scores: make([]float64, len(sels))}
-		if opt.HistogramBins > 0 {
-			h := dist.NewHistogram(opt.HistogramBins)
-			h.AddAll(occ)
-			p.Trips = int(h.N())
-			mk := h.MKProximity()
-			for si := range sels {
-				p.Scores[si] = mk
-			}
-		} else {
-			sample, err := dist.NewSample(occ)
-			if err != nil {
-				return nil, err
-			}
-			p.Trips = sample.N()
-			for si, sel := range sels {
-				p.Scores[si] = sel.Score(sample)
-			}
+		sample, err := dist.NewSample(occ)
+		if err != nil {
+			return nil, err
+		}
+		p := SweepPoint{Delta: delta, Trips: sample.N(), Scores: make([]float64, len(sels))}
+		for si, sel := range sels {
+			p.Scores[si] = sel.Score(sample)
 		}
 		points = append(points, p)
 	}

@@ -62,13 +62,7 @@ func NewScaleSearch(opt Options) (*ScaleSearch, error) {
 			return nil, fmt.Errorf("core: non-positive aggregation period %d", delta)
 		}
 	}
-	sels := opt.selectors()
-	if opt.HistogramBins > 0 {
-		if err := validateHistogramSelectors(sels); err != nil {
-			return nil, err
-		}
-	}
-	sc := &ScaleSearch{opt: opt, sels: sels, seen: make(map[int64]bool, len(opt.Grid)), curGrid: opt.Grid}
+	sc := &ScaleSearch{opt: opt, sels: opt.selectors(), seen: make(map[int64]bool, len(opt.Grid)), curGrid: opt.Grid}
 	for _, d := range opt.Grid {
 		sc.seen[d] = true
 	}

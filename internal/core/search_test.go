@@ -64,9 +64,6 @@ func TestScaleSearchProtocol(t *testing.T) {
 	if _, err := NewScaleSearch(Options{Grid: []int64{0}}); err == nil {
 		t.Fatal("non-positive delta must error")
 	}
-	if _, err := NewScaleSearch(Options{Grid: []int64{5}, HistogramBins: 8, Selectors: dist.AllSelectors()}); err == nil {
-		t.Fatal("histogram mode with non-M-K selectors must error")
-	}
 
 	sc, err := NewScaleSearch(Options{Grid: []int64{2, 50}})
 	if err != nil {

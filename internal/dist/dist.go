@@ -1,15 +1,13 @@
 // Package dist implements the distribution machinery of the occupancy
 // method: empirical samples of occupancy rates on [0,1], the exact
-// Monge-Kantorovich (Wasserstein-1) distance to the uniform density, a
-// fixed-bin streaming histogram approximation for very large trip
-// populations, and the five uniformity selectors compared in Section 7
-// of the paper (M-K proximity, standard deviation, variation
-// coefficient, Shannon entropy and cumulative residual entropy).
+// Monge-Kantorovich (Wasserstein-1) distance to the uniform density,
+// and the five uniformity selectors compared in Section 7 of the paper
+// (M-K proximity, standard deviation, variation coefficient, Shannon
+// entropy and cumulative residual entropy).
 package dist
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -302,97 +300,6 @@ func stepAbsIntegral(f, a, b float64) float64 {
 // distributions at maximal M-K distance 1/2 from uniform). This is the
 // score the occupancy method maximises over candidate periods.
 func (s *Sample) MKProximity() float64 { return 1 - 2*s.MKDistance() }
-
-// Histogram is a fixed-bin streaming approximation of a Sample on
-// [0,1], intended for trip populations too large to keep exactly. Bin i
-// covers [i/bins, (i+1)/bins); values are clamped into [0,1].
-type Histogram struct {
-	counts []int64
-	n      int64
-}
-
-// NewHistogram returns an empty histogram with the given number of
-// bins (at least 1).
-func NewHistogram(bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	return &Histogram{counts: make([]int64, bins)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v float64) {
-	b := int(v * float64(len(h.counts)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	h.counts[b]++
-	h.n++
-}
-
-// AddAll records every value of vs.
-func (h *Histogram) AddAll(vs []float64) {
-	for _, v := range vs {
-		h.Add(v)
-	}
-}
-
-// N returns the number of recorded values.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Merge adds every count of o into h. Both histograms must have the
-// same number of bins. This is the concurrent-merge path of the sweep
-// pipeline: workers bin occupancy chunks into a private histogram
-// outside any lock and fold it into the shared per-period histogram
-// with one O(bins) merge, so the hot binning loop never contends.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(o.counts) != len(h.counts) {
-		panic(fmt.Sprintf("dist: merging %d-bin histogram into %d bins", len(o.counts), len(h.counts)))
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-}
-
-// Reset zeroes the histogram for reuse.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n = 0
-}
-
-// MKProximity returns the histogram approximation of Sample.MKProximity,
-// treating each bin's mass as concentrated at the bin centre. The error
-// versus the exact sample is at most one bin width.
-func (h *Histogram) MKProximity() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	bins := float64(len(h.counts))
-	n := float64(h.n)
-	total := 0.0
-	prev := 0.0
-	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		centre := (float64(i) + 0.5) / bins
-		total += stepAbsIntegral(float64(cum)/n, prev, centre)
-		cum += c
-		prev = centre
-	}
-	total += stepAbsIntegral(1, prev, 1)
-	return 1 - 2*total
-}
 
 // Selector scores how uniformly a sample spreads over [0,1]; the
 // occupancy method picks the period maximising the score. Higher means

@@ -325,23 +325,6 @@ func TestMKDistanceLimits(t *testing.T) {
 	}
 }
 
-func TestHistogramMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	values := make([]float64, 20000)
-	for i := range values {
-		values[i] = math.Pow(rng.Float64(), 2) // skewed towards 0
-	}
-	s := mustSample(t, append([]float64(nil), values...))
-	h := NewHistogram(4096)
-	h.AddAll(values)
-	if h.N() != int64(len(values)) {
-		t.Fatalf("histogram N = %d", h.N())
-	}
-	if d := math.Abs(h.MKProximity() - s.MKProximity()); d > 4.0/4096*2 {
-		t.Fatalf("histogram proximity off by %v", d)
-	}
-}
-
 func TestCREUniformQuarter(t *testing.T) {
 	grid := make([]float64, 2000)
 	for i := range grid {

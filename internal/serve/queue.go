@@ -31,8 +31,9 @@ import (
 	"repro"
 )
 
-// Queue errors. ErrQueueFull and ErrTenantQueueFull map to 429 at the
-// HTTP layer; ErrStreamRef and validation errors to 4xx.
+// Queue errors. ErrQueueFull maps to 429 at the HTTP layer, ErrClosed
+// to 503, ErrStreamChanged to 409, and ErrStreamRef and validation
+// errors to 400.
 var (
 	// ErrQueueFull is returned when admitting one more run would exceed
 	// QueueConfig.MaxJobs.
@@ -180,13 +181,25 @@ func (q *Queue) Gauges() QueueGauges {
 	return g
 }
 
+// tenantBudget is one tenant's concurrency budget. Its entry in
+// Queue.tenants lives exactly as long as the tenant has admitted,
+// unfinished runs: Submit adds it for the first and finish deletes it
+// with the last, so the table holds at most MaxJobs entries however
+// many tenant names clients send.
+type tenantBudget struct {
+	name string
+	sem  chan struct{} // TenantBudget slots; an executing run holds one
+	runs int           // admitted, unfinished runs; guarded by Queue.mu
+}
+
 // run is one engine execution: the shared backing of every job that
 // coalesced onto the same result key.
 type run struct {
 	key    string
 	ctx    context.Context
 	cancel context.CancelFunc
-	jobs   []string // IDs of the jobs riding this run; guarded by Queue.mu
+	jobs   []string      // IDs of the jobs riding this run; guarded by Queue.mu
+	budget *tenantBudget // the admitting tenant's budget; set under Queue.mu
 
 	mu       sync.Mutex
 	state    JobState
@@ -387,7 +400,7 @@ type Queue struct {
 	inflight map[string]*run          // result key → admitted, unfinished run
 	cache    map[string]*cachedResult // result key → completed result
 	cacheAge []string                 // completion order, for eviction
-	tenants  map[string]chan struct{} // tenant → budget semaphore
+	tenants  map[string]*tenantBudget // tenants with unfinished runs
 	admitted int                      // unfinished runs, all tenants
 	stats    QueueStats
 	seq      uint64
@@ -403,7 +416,7 @@ func NewQueue(cfg QueueConfig) *Queue {
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*run),
 		cache:      make(map[string]*cachedResult),
-		tenants:    make(map[string]chan struct{}),
+		tenants:    make(map[string]*tenantBudget),
 	}
 }
 
@@ -618,15 +631,17 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 	q.jobs[job.ID] = job
 	q.inflight[key] = r
 	q.admitted++
-	sem := q.tenants[tenant]
-	if sem == nil {
-		sem = make(chan struct{}, q.cfg.tenantBudget())
-		q.tenants[tenant] = sem
+	b := q.tenants[tenant]
+	if b == nil {
+		b = &tenantBudget{name: tenant, sem: make(chan struct{}, q.cfg.tenantBudget())}
+		q.tenants[tenant] = b
 	}
+	b.runs++
+	r.budget = b
 	q.mu.Unlock()
 
 	q.wg.Add(1)
-	go q.execute(r, plan, sem)
+	go q.execute(r, plan, b.sem)
 	return job, nil
 }
 
@@ -696,6 +711,13 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 
 	delete(q.inflight, r.key)
 	q.admitted--
+	r.budget.runs--
+	if r.budget.runs == 0 {
+		// A run that started holds its slot until execute returns, but
+		// its engine work is over: a later run of this tenant may take a
+		// fresh budget without exceeding it.
+		delete(q.tenants, r.budget.name)
+	}
 	q.retireLocked(r.jobs...)
 	r.jobs = nil
 	switch {

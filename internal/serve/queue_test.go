@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
@@ -388,6 +389,79 @@ func TestQueueTenantBudget(t *testing.T) {
 	}
 }
 
+// TestQueueTenantTableDrains: a tenant's budget entry goes with its
+// last unfinished run, so clients varying X-Tenant cannot grow the
+// table, and it stays, the same budget, while any run remains.
+func TestQueueTenantTableDrains(t *testing.T) {
+	q := NewQueue(QueueConfig{TenantBudget: 1})
+	defer q.Close()
+	ctx := context.Background()
+	tenants := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return len(q.tenants)
+	}
+
+	// Distinct streams, so every submit is a run of its own tenant.
+	jobs := make([]*Job, 32)
+	for i := range jobs {
+		var err error
+		jobs[i], err = q.Submit(ctx, smallSpec(t, int64(500+i)), SubmitOptions{Tenant: fmt.Sprintf("tenant-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if n := tenants(); n != 0 {
+		t.Fatalf("%d tenant entries after every run finished, want 0", n)
+	}
+
+	// Tenant "held" has one budget slot, taken here, and two queued
+	// runs. The first is cancelled; the second still needs the same
+	// budget, so a third submit must queue behind it, not get a fresh
+	// slot.
+	slot := make(chan struct{}, 1)
+	slot <- struct{}{}
+	held := &tenantBudget{name: "held", sem: slot}
+	q.mu.Lock()
+	q.tenants["held"] = held
+	q.mu.Unlock()
+	var queued []*Job
+	for _, seed := range []int64{601, 602, 603} {
+		if len(queued) == 2 {
+			queued[0].Cancel()
+			<-queued[0].Done()
+		}
+		j, err := q.Submit(ctx, smallSpec(t, seed), SubmitOptions{Tenant: "held"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j)
+	}
+	q.mu.Lock()
+	b, runs := q.tenants["held"], held.runs
+	q.mu.Unlock()
+	if b != held || runs != 2 {
+		t.Fatalf("after one of three runs finished: entry kept %v with %d runs, want true with 2", b == held, runs)
+	}
+	if s := queued[0].State(); s != StateCanceled {
+		t.Fatalf("cancelled run state %s", s)
+	}
+	<-slot
+	for _, j := range queued[1:] {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tenants(); n != 0 {
+		t.Fatalf("%d tenant entries after the held runs finished, want 0", n)
+	}
+}
+
 // TestQueueAdmissionBound: submits past MaxJobs fail with ErrQueueFull.
 func TestQueueAdmissionBound(t *testing.T) {
 	q := NewQueue(QueueConfig{MaxJobs: 1, TenantBudget: 1})
@@ -506,7 +580,7 @@ func TestQueueEvictsOldestFinishedJobs(t *testing.T) {
 	slot := make(chan struct{}, 1)
 	slot <- struct{}{}
 	q.mu.Lock()
-	q.tenants["held"] = slot
+	q.tenants["held"] = &tenantBudget{name: "held", sem: slot}
 	q.mu.Unlock()
 	held, err := q.Submit(ctx, smallSpec(t, 101), SubmitOptions{Tenant: "held"})
 	if err != nil {

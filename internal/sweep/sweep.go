@@ -36,7 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dist"
 	"repro/internal/linkstream"
 	"repro/internal/series"
 	"repro/internal/temporal"
@@ -63,11 +62,6 @@ type Options struct {
 	// overlap one period's construction and scoring with the sweeps of
 	// the others.
 	MaxInFlight int
-	// HistogramBins, when positive, streams occupancies into fixed-bin
-	// per-period histograms instead of exact value multisets: observers
-	// receive Period.Histogram instead of Period.Occupancies, and the
-	// engine never holds a period's full occupancy population.
-	HistogramBins int
 	// Progress, when non-nil, receives one ProgressEvent per engine
 	// milestone: the run preparing its job plan, each raw-stream trip
 	// enumeration, and every (segment, ∆) period delivered to its
@@ -208,8 +202,8 @@ func (s *RunStats) Add(o RunStats) {
 // engine computes the union of all observers' needs in a single sweep
 // pass, so registering one more observer never adds another pass.
 type Needs struct {
-	// Occupancies requests Period.Occupancies (or Period.Histogram in
-	// histogram mode), the occupancy rates of the minimal trips.
+	// Occupancies requests Period.OccupancyChunks, the occupancy rates
+	// of the minimal trips.
 	Occupancies bool
 	// Distances requests Period.Distances, the Figure 2 mean distance
 	// statistics.
@@ -300,16 +294,12 @@ type Period struct {
 	// OccupancyChunks holds the occupancy-rate multiset of the minimal
 	// trips as a list of engine-owned value chunks (OccupancyCount
 	// values overall), in unspecified order. Populated for
-	// Needs.Occupancies in exact mode (Options.HistogramBins == 0).
-	// The chunks are recycled when ObservePeriod returns — observers
-	// must consume them inside the call (dist.NewSampleFromChunks does
-	// exactly that).
+	// Needs.Occupancies. The chunks are recycled when ObservePeriod
+	// returns — observers must consume them inside the call
+	// (dist.NewSampleFromChunks does exactly that).
 	OccupancyChunks [][]float64
 	// OccupancyCount is the total number of values in OccupancyChunks.
 	OccupancyCount int
-	// Histogram is the streamed occupancy histogram. Populated for
-	// Needs.Occupancies in histogram mode.
-	Histogram *dist.Histogram
 	// Distances holds the mean temporal distances (dtime in window
 	// counts, durPlus = 1). Populated for Needs.Distances.
 	Distances temporal.DistanceStats
@@ -485,14 +475,12 @@ const weightsBlock = -2
 // scope is the engine-internal state of one registered SegmentObserver:
 // its window's slice of the shared event buffer wrapped in a
 // StreamView, the union of its observers' needs, the slice bounds in
-// the shared buffer (the dedup key of its periods), and whether its
-// occupancy products stream into histograms.
+// the shared buffer (the dedup key of its periods).
 type scope struct {
-	seg      SegmentObserver
-	needs    Needs
-	v        *StreamView
-	lo, hi   int // bounds of v.Events in the shared sorted buffer
-	histMode bool
+	seg    SegmentObserver
+	needs  Needs
+	v      *StreamView
+	lo, hi int // bounds of v.Events in the shared sorted buffer
 }
 
 // jobTarget is one (scope, grid index) a period job serves.
@@ -512,10 +500,9 @@ type specKey struct {
 // coincide, with the union of their needs. One CSR is built and swept
 // for the spec; finalize fans its products to every target.
 type jobSpec struct {
-	delta    int64
-	targets  []jobTarget
-	needs    Needs
-	histMode bool
+	delta   int64
+	targets []jobTarget
+	needs   Needs
 }
 
 // view returns the representative stream view of the spec (all targets
@@ -537,10 +524,9 @@ type job struct {
 	contrib   atomic.Int32
 	finalized atomic.Bool
 
-	mu       sync.Mutex // guards chunks, occTotal, hist
+	mu       sync.Mutex // guards chunks, occTotal
 	chunks   [][]float64
 	occTotal int
-	hist     *dist.Histogram
 
 	sink    *temporal.DistSink // per-destination slots, written lock-free
 	stats   series.Stats       // written by the stats task
@@ -764,9 +750,6 @@ func (e *engine) produce() {
 			if sp.needs.Distances {
 				j.sink = temporal.NewDistSink(e.n, 0, 1)
 			}
-			if sp.histMode {
-				j.hist = dist.NewHistogram(e.opt.HistogramBins)
-			}
 			if sp.needs.TripShards {
 				for _, tgt := range sp.targets {
 					var row []TripShard
@@ -824,7 +807,6 @@ func (e *engine) worker() {
 	laneBuf := make([][]temporal.Trip, temporal.LaneWidth)
 	// wscratch is the worker's sort buffer for edge-weight tasks.
 	var wscratch temporal.CSRScratch
-	var localHist *dist.Histogram
 	var cur *job // job the worker's occupancy sink holds data for
 
 	flush := func() {
@@ -835,24 +817,10 @@ func (e *engine) worker() {
 		cur = nil
 		chunks, total := w.TakeOccupancies()
 		if total > 0 {
-			if j.spec.histMode {
-				if localHist == nil {
-					localHist = dist.NewHistogram(e.opt.HistogramBins)
-				}
-				for _, ch := range chunks {
-					localHist.AddAll(ch)
-				}
-				temporal.RecycleOccupancies(chunks)
-				j.mu.Lock()
-				j.hist.Merge(localHist)
-				j.mu.Unlock()
-				localHist.Reset()
-			} else {
-				j.mu.Lock()
-				j.chunks = append(j.chunks, chunks...)
-				j.occTotal += total
-				j.mu.Unlock()
-			}
+			j.mu.Lock()
+			j.chunks = append(j.chunks, chunks...)
+			j.occTotal += total
+			j.mu.Unlock()
 		}
 		j.contrib.Add(-1)
 		e.maybeFinalize(j)
@@ -948,14 +916,13 @@ func (e *engine) finalize(j *job) {
 		// observer-failed period must hand its arena and occupancy
 		// chunks back exactly like a completed one, or a mid-sweep
 		// abort leaks them from the pools for good.
-		if j.chunks != nil && !j.spec.histMode {
+		if j.chunks != nil {
 			temporal.RecycleOccupancies(j.chunks)
 		}
 		e.recycleCSR(j.csr)
 		j.csr = nil
 		j.chunks = nil
 		j.sink = nil
-		j.hist = nil
 		j.weights = nil
 		j.shards = nil
 		j.targetShards = nil
@@ -975,12 +942,8 @@ func (e *engine) finalize(j *job) {
 		sc := tgt.sc
 		p := &Period{Index: tgt.idx, Delta: sp.delta, T0: sc.v.T0, NumWindows: j.numWindows}
 		if sc.needs.Occupancies {
-			if sc.histMode {
-				p.Histogram = j.hist
-			} else {
-				p.OccupancyChunks = j.chunks
-				p.OccupancyCount = j.occTotal
-			}
+			p.OccupancyChunks = j.chunks
+			p.OccupancyCount = j.occTotal
 		}
 		if sc.needs.Distances {
 			p.Distances = distStats

@@ -315,35 +315,6 @@ func TestObserverErrorAborts(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	s := seededStream(t, 6, 3, 1000, 7)
-	grid := []int64{4, 40, 400}
-	counts := make([]int64, len(grid))
-	obs := observerFunc{
-		needs: Needs{Occupancies: true},
-		observe: func(p *Period) error {
-			if p.Histogram == nil {
-				return errors.New("no histogram in histogram mode")
-			}
-			counts[p.Index] = p.Histogram.N()
-			return nil
-		},
-	}
-	if err := Run(context.Background(), s, grid, Options{HistogramBins: 64, Workers: 2}, obs); err != nil {
-		t.Fatal(err)
-	}
-	s.Sort()
-	events := linkstream.Canonical(s.Events())
-	var scratch temporal.CSRScratch
-	for i, delta := range grid {
-		c := temporal.BuildCSR(events, events[0].T, delta, &scratch)
-		occ := temporal.OccupanciesCSR(temporal.Config{N: s.NumNodes(), Workers: 1}, c)
-		if counts[i] != int64(len(occ)) {
-			t.Fatalf("delta=%d: histogram counted %d values, want %d", delta, counts[i], len(occ))
-		}
-	}
-}
-
 // observerFunc adapts closures to the Observer interface.
 type observerFunc struct {
 	needs   Needs

@@ -229,7 +229,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 				Grid:     seg.Grid,
 				Events:   sub,
 			},
-			histMode: opt.HistogramBins > 0 && needs.Occupancies,
 		}
 		scopes = append(scopes, sc)
 		if needs.StreamTripRuns {
@@ -328,10 +327,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			sp.needs = sp.needs.union(sc.needs)
 		}
 	}
-	for _, sp := range specs {
-		sp.histMode = opt.HistogramBins > 0 && sp.needs.Occupancies
-	}
-
 	if len(specs) == 0 {
 		// Stream-level observers only: no CSR, no sweep, no workers.
 		for _, sc := range scopes {

@@ -704,7 +704,7 @@ func DestBlocks(n int) int { return (n + LaneWidth - 1) / LaneWidth }
 // size + workers), not O(destinations), and no value is copied more
 // than once. The per-destination value runs are identical for every
 // worker count; only their interleaving across destinations varies, and
-// every consumer is order-independent (sorted samples, histograms).
+// every consumer is order-independent (sorted samples).
 func OccupanciesCSR(cfg Config, c *CSR) []float64 {
 	blocks := DestBlocks(cfg.N)
 	w := cfg.workers()
@@ -861,8 +861,7 @@ func (w *Worker) TakeOccupancies() (chunks [][]float64, total int) {
 }
 
 // RecycleOccupancies returns chunks obtained from TakeOccupancies to
-// the engine's chunk pool, for consumers that stream chunk contents
-// (e.g. into a histogram) instead of concatenating them.
+// the engine's chunk pool once every consumer has read their values.
 func RecycleOccupancies(chunks [][]float64) {
 	for _, ch := range chunks {
 		chunkPool.Put(ch)

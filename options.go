@@ -119,26 +119,25 @@ type Window struct {
 // planConfig is the frozen state of a Plan. Options mutate it during
 // NewAnalysis; afterwards it never changes.
 type planConfig struct {
-	directed      bool
-	workers       int
-	maxInFlight   int
-	histogramBins int
-	selectors     []Selector
-	grid          []int64
-	gridSet       bool
-	gridPoints    int
-	minDelta      int64
-	refine        int
-	metrics       [numMetrics]bool
-	metricsSet    bool
-	noGlobal      bool
-	windows       []Window
-	segments      []SegmentObserver
-	observers     []SweepObserver
-	adaptive      *AdaptiveConfig
-	progress      func(ProgressEvent)
-	streamPath    string
-	elongSpill    int64
+	directed    bool
+	workers     int
+	maxInFlight int
+	selectors   []Selector
+	grid        []int64
+	gridSet     bool
+	gridPoints  int
+	minDelta    int64
+	refine      int
+	metrics     [numMetrics]bool
+	metricsSet  bool
+	noGlobal    bool
+	windows     []Window
+	segments    []SegmentObserver
+	observers   []SweepObserver
+	adaptive    *AdaptiveConfig
+	progress    func(ProgressEvent)
+	streamPath  string
+	elongSpill  int64
 }
 
 func (c *planConfig) metricOn(m Metric) bool { return c.metrics[m] }
@@ -180,17 +179,6 @@ func WithWorkers(n int) Option {
 func WithMaxInFlight(n int) Option {
 	return func(c *planConfig) error {
 		c.maxInFlight = n
-		return nil
-	}
-}
-
-// WithHistogramBins scores occupancy distributions through fixed-bin
-// streaming histograms instead of exact value multisets. Only the M-K
-// proximity selector supports this backend; it is intended for very
-// large trip populations.
-func WithHistogramBins(bins int) Option {
-	return func(c *planConfig) error {
-		c.histogramBins = bins
 		return nil
 	}
 }

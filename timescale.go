@@ -30,11 +30,11 @@
 // (WithGrid, WithGridPoints, WithMinDelta), extra analysis windows
 // (WithWindows), the refinement policy (WithRefine), activity-adaptive
 // segmentation (WithAdaptive), worker and memory budgets (WithWorkers,
-// WithMaxInFlight, WithHistogramBins) and custom observers
-// (WithObservers, WithSegments). However much one plan requests, it is
-// executed as one fused engine pass, plus one more when WithRefine
-// refines the saturation scale — the stream sorted once, every distinct (window, ∆) aggregation built and swept
-// exactly once — and the typed Report carries per-metric and
+// WithMaxInFlight) and custom observers (WithObservers, WithSegments).
+// However much one plan requests, it is executed as one fused engine
+// pass, plus one more when WithRefine refines the saturation scale —
+// the stream sorted once, every distinct (window, ∆) aggregation built
+// and swept exactly once — and the typed Report carries per-metric and
 // per-window accessors plus the run's EngineStats.
 //
 // Run honours ctx end to end: an already-cancelled context returns
@@ -210,8 +210,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/adaptive"
 	"repro/internal/classic"
 	"repro/internal/core"
@@ -283,21 +281,12 @@ func StreamMinimalTrips(s *Stream, directed bool) []Trip {
 
 // LayeredCSR is the flat arena representation the temporal engine runs
 // on: one contiguous endpoint array plus per-layer offsets. Build one
-// with SeriesCSR or StreamCSR to amortise conversion across repeated
-// queries on the same layered graph.
+// with SeriesCSR to amortise conversion across repeated queries on the
+// same layered graph.
 type LayeredCSR = temporal.CSR
 
 // SeriesCSR builds the engine arena of an aggregated series.
 func SeriesCSR(g *Series) *LayeredCSR { return temporal.SeriesCSR(g) }
-
-// StreamCSR builds the engine arena of the raw stream (one layer per
-// distinct timestamp, canonicalised unless directed).
-func StreamCSR(s *Stream, directed bool) *LayeredCSR { return temporal.StreamCSR(s, directed) }
-
-// CSRMinimalTrips enumerates all minimal trips of a prebuilt arena.
-func CSRMinimalTrips(c *LayeredCSR, n int, directed bool) []Trip {
-	return temporal.CollectTripsCSR(temporal.Config{N: n, Directed: directed}, c)
-}
 
 // CSROccupancies returns the occupancy rates of all minimal trips of a
 // prebuilt arena.
@@ -381,25 +370,6 @@ type SweepShardedTripObserver = sweep.ShardedTripObserver
 // registration for WithSegments. A Start >= End window (the zero value)
 // selects the whole stream.
 type SegmentObserver = sweep.SegmentObserver
-
-// SweepRunner executes one engine pass for SaturationScaleWith: score
-// every period of grid with obs.
-type SweepRunner = core.SweepRunner
-
-// ScaleSearch is the occupancy method as a resumable search,
-// letting a caller batch the engine passes of many concurrent searches
-// (see core.ScaleSearch for the protocol).
-type ScaleSearch = core.ScaleSearch
-
-// NewScaleSearch stages a scale search over opt.Grid.
-func NewScaleSearch(opt Options) (*ScaleSearch, error) { return core.NewScaleSearch(opt) }
-
-// SaturationScaleWith runs the occupancy method's sweep-then-refine
-// search through a caller-supplied engine pass. Callers that do not
-// need a custom runner should build a Plan instead (NewAnalysis).
-func SaturationScaleWith(opt Options, run SweepRunner) (Result, error) {
-	return core.SaturationScaleWith(context.Background(), opt, run)
-}
 
 // OccupancyObserver scores per-period occupancy distributions (the
 // occupancy method) in a plan's WithObservers.

@@ -92,12 +92,11 @@ type PlanSpec struct {
 	Directed  bool     `json:"directed,omitempty"`
 	// Grid, GridPoints and MinDelta shape the candidate grid exactly
 	// like WithGrid, WithGridPoints and WithMinDelta.
-	Grid          []int64  `json:"grid,omitempty"`
-	GridPoints    int      `json:"grid_points,omitempty"`
-	MinDelta      int64    `json:"min_delta,omitempty"`
-	Refine        int      `json:"refine,omitempty"`
-	HistogramBins int      `json:"histogram_bins,omitempty"`
-	Windows       []Window `json:"windows,omitempty"`
+	Grid       []int64  `json:"grid,omitempty"`
+	GridPoints int      `json:"grid_points,omitempty"`
+	MinDelta   int64    `json:"min_delta,omitempty"`
+	Refine     int      `json:"refine,omitempty"`
+	Windows    []Window `json:"windows,omitempty"`
 	// WindowsOnly drops the global scope (WithWindowsOnly): only the
 	// spec's Windows are analysed. Shard specs of a distributed run use
 	// it so window chunks cost no redundant whole-stream pass.
@@ -171,9 +170,6 @@ func (spec *PlanSpec) Options() ([]Option, error) {
 	}
 	if spec.Refine != 0 {
 		opts = append(opts, WithRefine(spec.Refine))
-	}
-	if spec.HistogramBins != 0 {
-		opts = append(opts, WithHistogramBins(spec.HistogramBins))
 	}
 	if len(spec.Windows) > 0 {
 		opts = append(opts, WithWindows(spec.Windows...))

@@ -7,7 +7,7 @@ package repro
 // execution knobs, so the goldens are compared against runs at several
 // worker counts and in-flight budgets. Regenerate with:
 //
-//	go test -run TestReportGolden -update-golden
+//	go test -run 'TestReportGolden$' -update-golden
 //
 // and review the diff like any contract change.
 
@@ -17,11 +17,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linkstream"
 	"repro/internal/synth"
 )
@@ -41,11 +43,10 @@ func goldenWorkload(t testing.TB, seed int64) *Stream {
 
 func specForGolden(seed int64, directed bool) *PlanSpec {
 	return &PlanSpec{
-		Metrics:       []string{"occupancy", "classic", "distance", "loss", "elongation"},
-		Directed:      directed,
-		GridPoints:    8,
-		Refine:        2,
-		HistogramBins: 24,
+		Metrics:    []string{"occupancy", "classic", "distance", "loss", "elongation"},
+		Directed:   directed,
+		GridPoints: 8,
+		Refine:     2,
 	}
 }
 
@@ -122,6 +123,53 @@ func TestReportGolden(t *testing.T) {
 				if !bytes.Equal(reference, compact.Bytes()) {
 					t.Fatalf("report wire bytes drifted from %s (regenerate with -update-golden and review)\n got %s\nwant %s",
 						golden, reference, compact.Bytes())
+				}
+			})
+		}
+	}
+}
+
+// TestReportGoldenMatchesReference checks the golden occupancy curves
+// against the oracle rather than against the engine that wrote them:
+// at every ∆ of each golden's curve, core.SweepReference — trips by
+// temporal.CollectTripsCSR, occupancy by Trip.Occupancy() — must give
+// the same trip count and bit-identical scores.
+func TestReportGoldenMatchesReference(t *testing.T) {
+	for _, seed := range []int64{101, 202, 303} {
+		for _, directed := range []bool{false, true} {
+			name := fmt.Sprintf("seed%d_%s", seed, map[bool]string{false: "undirected", true: "directed"}[directed])
+			t.Run(name, func(t *testing.T) {
+				data, err := os.ReadFile(filepath.Join("testdata", "report_"+name+".golden.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rep Report
+				if err := json.Unmarshal(data, &rep); err != nil {
+					t.Fatal(err)
+				}
+				curve := rep.Occupancy()
+				if len(curve) == 0 {
+					t.Fatal("golden has no occupancy curve")
+				}
+				deltas := make([]int64, len(curve))
+				for i, p := range curve {
+					deltas[i] = p.Delta
+				}
+				want, err := core.SweepReference(goldenWorkload(t, seed), deltas, Options{Directed: directed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range curve {
+					w := want[i]
+					if p.Trips != w.Trips || len(p.Scores) != len(w.Scores) {
+						t.Fatalf("delta %d: golden %d trips, %d scores; reference %d trips, %d scores",
+							p.Delta, p.Trips, len(p.Scores), w.Trips, len(w.Scores))
+					}
+					for si := range w.Scores {
+						if math.Float64bits(p.Scores[si]) != math.Float64bits(w.Scores[si]) {
+							t.Fatalf("delta %d: golden score %v, reference %v", p.Delta, p.Scores[si], w.Scores[si])
+						}
+					}
 				}
 			})
 		}
