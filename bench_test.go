@@ -270,6 +270,28 @@ func BenchmarkPlanRunAllMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanRunSnapshotMetrics is the snapshot lane through the
+// plan/run lifecycle: degree, components and weighted curves over a
+// 12-point grid. No backward sweep runs, so the time is the period
+// builds (with their edge weights) and the three observers — the work
+// of a tsserve snapshot-metric request.
+func BenchmarkPlanRunSnapshotMetrics(b *testing.B) {
+	s := irvineStream(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := NewAnalysis(s,
+			WithMetrics(MetricDegree, MetricComponents, MetricWeighted),
+			WithGridPoints(12),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMultiSweepSeparatePasses(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
@@ -562,8 +584,10 @@ func BenchmarkAdaptiveAnalyzeReference(b *testing.B) {
 }
 
 // BenchmarkCSRBuild measures the flat-arena aggregation pass alone:
-// bucketing the sorted canonical event buffer into one period's CSR
-// with sort-and-compact dedup.
+// bucketing the sorted canonical event buffer into one period's CSR,
+// deduplicated and weighted by one scatter of the scratch's edge-major
+// order. The order is computed in the first iteration and re-checked,
+// not recomputed, in every later one — as for each further ∆ of a run.
 func BenchmarkCSRBuild(b *testing.B) {
 	s := irvineStream(b)
 	s.Sort()

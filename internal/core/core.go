@@ -169,6 +169,9 @@ func OccupancySample(s *linkstream.Stream, delta int64, opt Options) (*dist.Samp
 	if delta <= 0 {
 		return nil, fmt.Errorf("core: non-positive aggregation period %d", delta)
 	}
+	if err := temporal.CheckBuildSize(s.NumEvents()); err != nil {
+		return nil, err
+	}
 	events := sortedEvents(s, opt.Directed)
 	var scratch temporal.CSRScratch
 	c := temporal.BuildCSR(events, events[0].T, delta, &scratch)

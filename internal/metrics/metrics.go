@@ -191,7 +191,11 @@ func series1(name string, values []float64) Series {
 // DegreeObserver collects the degree-distribution curve inside an
 // engine run, one more lane off the shared per-period CSR build.
 type DegreeObserver struct {
-	n      int
+	n int
+	// terms[c] is p·ln p for a degree class of c nodes, p = c/n: the
+	// entropy term of every class size, computed once in Begin and
+	// read-only after, so concurrent periods share it.
+	terms  []float64
 	points []DegreePoint
 }
 
@@ -201,9 +205,14 @@ func NewDegreeObserver() *DegreeObserver { return &DegreeObserver{} }
 // Needs declares the snapshot lane.
 func (o *DegreeObserver) Needs() sweep.Needs { return sweep.Needs{Snapshots: true} }
 
-// Begin sizes the curve to the grid.
+// Begin sizes the curve to the grid and tabulates the entropy terms.
 func (o *DegreeObserver) Begin(v *sweep.StreamView) error {
 	o.n = v.N
+	o.terms = make([]float64, v.N+1)
+	for c := 1; c <= v.N; c++ {
+		p := float64(c) / float64(v.N)
+		o.terms[c] = p * math.Log(p)
+	}
 	o.points = make([]DegreePoint, len(v.Grid))
 	return nil
 }
@@ -216,6 +225,7 @@ func (o *DegreeObserver) ObservePeriod(p *sweep.Period) error {
 		deg := make([]int32, n)
 		stamp := newStamps(n)
 		touched := make([]int32, 0, 64)
+		var degs []int32
 		var sumMean, sumMax, sumEnt float64
 		c := p.Graph
 		for li := 0; li < c.NumLayers(); li++ {
@@ -234,15 +244,15 @@ func (o *DegreeObserver) ObservePeriod(p *sweep.Period) error {
 			}
 			m := hi - lo
 			sumMean += 2 * float64(m) / float64(n)
-			degs := make([]int32, len(touched))
-			for i, x := range touched {
-				degs[i] = deg[x]
+			degs = degs[:0]
+			for _, x := range touched {
+				degs = append(degs, deg[x])
 			}
 			slices.Sort(degs)
 			if len(degs) > 0 {
 				sumMax += float64(degs[len(degs)-1])
 			}
-			sumEnt += degreeEntropy(n, degs)
+			sumEnt += degreeEntropy(o.terms, n, degs)
 		}
 		k := float64(p.NumWindows)
 		pt.MeanDegree = sumMean / k
@@ -274,16 +284,16 @@ func (o *DegreeObserver) Curve() Curve {
 
 // degreeEntropy is the Shannon entropy (nats) of a snapshot's degree
 // distribution over all n nodes: degs holds the sorted degrees of the
-// non-isolated nodes, the remaining n−len(degs) nodes have degree 0.
-// Classes accumulate in ascending degree order on both the engine and
-// the reference side, keeping the two within float tolerance of a
-// single rounding.
-func degreeEntropy(n int, degs []int32) float64 {
+// non-isolated nodes, the remaining n−len(degs) nodes have degree 0,
+// and terms[c] is the p·ln p term of a class of c nodes. Classes
+// accumulate in ascending degree order on both the engine and the
+// reference side, keeping the two within float tolerance of a single
+// rounding.
+func degreeEntropy(terms []float64, n int, degs []int32) float64 {
 	ent := 0.0
 	class := func(count int) {
 		if count > 0 {
-			p := float64(count) / float64(n)
-			ent -= p * math.Log(p)
+			ent -= terms[count]
 		}
 	}
 	class(n - len(degs)) // the degree-0 class

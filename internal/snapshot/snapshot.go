@@ -28,9 +28,10 @@ func (e Edge) Canon() Edge {
 	return e
 }
 
-// PackEdge packs an edge into one uint64 key ordered like (U, V); the
-// shared currency of the sort-and-compact dedup used by both series
-// aggregation and the temporal engine's CSR builder.
+// PackEdge packs an edge into one uint64 key ordered like (U, V): the
+// key series aggregation sorts and compacts per window, and the
+// temporal engine's CSR builder radix-sorts once per event buffer.
+// Both order a window's edges by it.
 func PackEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // UnpackEdge is the inverse of PackEdge.

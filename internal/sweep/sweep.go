@@ -240,8 +240,9 @@ type Needs struct {
 	// GraphTempo / pyTempNet AggregateNet semantics), aligned
 	// index-for-index with the arena's edge order. Observers normally
 	// declare Snapshots alongside it to receive the arena the weights
-	// index into. Computed as one more task of the period's shared
-	// build — never a second CSR construction.
+	// index into. The period's build counts the weights in the same
+	// pass that deduplicates the windows (temporal.CSR.Weights), so
+	// the lane adds no task and no second CSR construction.
 	EdgeWeights bool
 }
 
@@ -468,10 +469,6 @@ func Run(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options, o
 // task.
 const statsBlock = -1
 
-// weightsBlock is the pseudo block index of a period's edge-weight
-// (weighted aggregation) task.
-const weightsBlock = -2
-
 // scope is the engine-internal state of one registered SegmentObserver:
 // its window's slice of the shared event buffer wrapped in a
 // StreamView, the union of its observers' needs, the slice bounds in
@@ -528,9 +525,8 @@ type job struct {
 	chunks   [][]float64
 	occTotal int
 
-	sink    *temporal.DistSink // per-destination slots, written lock-free
-	stats   series.Stats       // written by the stats task
-	weights []int32            // written by the weights task
+	sink  *temporal.DistSink // per-destination slots, written lock-free
+	stats series.Stats       // written by the stats task
 
 	// shards flattens every target observer's TripShard for the block
 	// fan-out; targetShards maps them back per (target, observer) for
@@ -768,22 +764,17 @@ func (e *engine) produce() {
 		if sp.needs.WindowStats {
 			ntasks++
 		}
-		if sp.needs.EdgeWeights {
-			ntasks++
-		}
 		if ntasks == 0 {
-			// Snapshot-only specs (Needs.Snapshots without any sweep,
-			// stats or weights product): the CSR just built is the
-			// product, so finalize hands it to the observers right here.
+			// Snapshot-only specs (Needs.Snapshots or EdgeWeights
+			// without any sweep or stats product): the CSR just built,
+			// weights included, is the product, so finalize hands it
+			// to the observers right here.
 			e.finalize(j)
 			continue
 		}
 		j.pending.Store(int32(ntasks))
 		if sp.needs.WindowStats {
 			e.tasks <- task{j: j, block: statsBlock}
-		}
-		if sp.needs.EdgeWeights {
-			e.tasks <- task{j: j, block: weightsBlock}
 		}
 		if sp.needs.sweeps() {
 			for b := 0; b < e.blocks; b++ {
@@ -805,8 +796,6 @@ func (e *engine) worker() {
 	// laneBuf receives one block's trip lanes, recycled once every
 	// shard has scored them.
 	laneBuf := make([][]temporal.Trip, temporal.LaneWidth)
-	// wscratch is the worker's sort buffer for edge-weight tasks.
-	var wscratch temporal.CSRScratch
 	var cur *job // job the worker's occupancy sink holds data for
 
 	flush := func() {
@@ -854,9 +843,6 @@ func (e *engine) worker() {
 		}
 		if t.block == statsBlock {
 			j.stats = e.windowStats(j)
-		} else if t.block == weightsBlock {
-			v := j.spec.view()
-			j.weights = temporal.EdgeWeightsCSR(v.Events, v.T0, j.spec.delta, j.csr, &wscratch)
 		} else {
 			needs := j.spec.needs
 			if needs.Occupancies && cur != j {
@@ -923,7 +909,6 @@ func (e *engine) finalize(j *job) {
 		j.csr = nil
 		j.chunks = nil
 		j.sink = nil
-		j.weights = nil
 		j.shards = nil
 		j.targetShards = nil
 		periodsAlive.Add(-1)
@@ -955,7 +940,7 @@ func (e *engine) finalize(j *job) {
 			p.Graph = j.csr
 		}
 		if sc.needs.EdgeWeights {
-			p.EdgeWeights = j.weights
+			p.EdgeWeights = j.csr.Weights
 		}
 		for oi, o := range sc.seg.Observers {
 			p.Shard = nil

@@ -169,6 +169,9 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 	if err != nil {
 		return err
 	}
+	if err := temporal.CheckBuildSize(len(events)); err != nil {
+		return err
+	}
 	if preSorted {
 		sortSkips.Add(1)
 	}

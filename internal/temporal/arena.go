@@ -2,8 +2,8 @@ package temporal
 
 // This file implements the size-classed CSR arena pool of the sweep
 // engine. Every aggregation period of a run builds one CSR — a keys
-// array, an offsets array and a flat endpoints array whose sizes are
-// all bounded by the period's event count — and drops it as soon as the
+// array, an offsets array, a flat endpoints array and a weights array
+// whose sizes are all bounded by the period's event count — and drops it as soon as the
 // period's products are delivered. Recycling those arrays through a
 // generic sync.Pool regrows them whenever periods of different sizes
 // interleave (a pooled buffer of the wrong size helps nobody); the
@@ -43,9 +43,10 @@ func arenaClassFor(nodes, events int) arenaClass {
 // csrArena is one recyclable set of CSR backing arrays. The arrays keep
 // their capacity across uses; lengths are re-derived by each build.
 type csrArena struct {
-	keys []int64
-	off  []int
-	ends []int32
+	keys    []int64
+	off     []int
+	ends    []int32
+	weights []int32
 }
 
 const (
@@ -143,9 +144,9 @@ func putArena(class arenaClass, a *csrArena) {
 }
 
 // BuildCSRArena is BuildCSR backed by the size-classed arena pool: the
-// returned CSR's Keys/Off/Ends arrays live in an arena of the (nodes,
-// events) class, reused from a previous period of similar size when one
-// is shelved. The caller owns the CSR until it hands it back with
+// returned CSR's Keys/Off/Ends/Weights arrays live in an arena of the
+// (nodes, events) class, reused from a previous period of similar size
+// when one is shelved. The caller owns the CSR until it hands it back with
 // RecycleCSR — which it must do on every exit path, including
 // cancellation, or the arena accounting (ArenaStats) reports the leak.
 // nodes is the run's node count; events, t0, delta and scratch are
@@ -162,18 +163,22 @@ func BuildCSRArena(events []linkstream.Event, t0, delta int64, nodes int, scratc
 	if reused {
 		arenasReused.Add(1)
 	} else {
-		a = &csrArena{ends: make([]int32, 0, 2*len(events))}
+		a = &csrArena{}
 	}
 	c := &CSR{
-		Keys:   a.keys[:0],
-		Off:    a.off[:0],
-		Ends:   a.ends[:0],
-		arena:  a,
-		class:  class,
-		reused: reused,
+		Keys:    a.keys[:0],
+		Off:     a.off[:0],
+		Ends:    a.ends[:0],
+		Weights: a.weights[:0],
+		arena:   a,
+		class:   class,
+		reused:  reused,
 	}
 	if cap(c.Ends) < 2*len(events) {
 		c.Ends = make([]int32, 0, 2*len(events))
+	}
+	if cap(c.Weights) < len(events) {
+		c.Weights = make([]int32, 0, len(events))
 	}
 	buildCSRInto(c, events, t0, delta, scratch)
 	arenasHanded.Add(1)
@@ -194,8 +199,9 @@ func RecycleCSR(c *CSR) {
 	a.keys = c.Keys[:0]
 	a.off = c.Off[:0]
 	a.ends = c.Ends[:0]
+	a.weights = c.Weights[:0]
 	c.arena = nil
-	c.Keys, c.Off, c.Ends = nil, nil, nil
+	c.Keys, c.Off, c.Ends, c.Weights = nil, nil, nil, nil
 	putArena(c.class, a)
 	arenasRecycled.Add(1)
 }

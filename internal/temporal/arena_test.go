@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/linkstream"
@@ -55,6 +56,9 @@ func TestBuildCSRArenaMatchesBuildCSR(t *testing.T) {
 				t.Fatalf("cycle %d delta %d: BuildCSRArena not arena-backed", cycle, delta)
 			}
 			csrEqual(t, got, want, "arena vs plain")
+			if !slices.Equal(got.Weights, want.Weights) {
+				t.Fatalf("cycle %d delta %d: arena weights differ from plain", cycle, delta)
+			}
 			cfg := Config{N: n, Workers: 2}
 			wantTrips := CollectTripsCSR(cfg, want)
 			gotTrips := CollectTripsCSR(cfg, got)
@@ -103,7 +107,7 @@ func TestRecycleCSRDetachesSlices(t *testing.T) {
 	var scratch CSRScratch
 	c := BuildCSRArena(events, events[0].T, 20, 8, &scratch)
 	RecycleCSR(c)
-	if c.Keys != nil || c.Off != nil || c.Ends != nil || c.arena != nil {
+	if c.Keys != nil || c.Off != nil || c.Ends != nil || c.Weights != nil || c.arena != nil {
 		t.Fatalf("recycled CSR still holds backing arrays: %+v", c)
 	}
 }

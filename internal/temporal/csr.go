@@ -4,11 +4,12 @@ package temporal
 // contiguous []int32 endpoint array plus per-layer offsets, built once
 // per aggregation period, so the inner relax loop of the backward sweep
 // walks cache-linear memory instead of []Layer -> []snapshot.Edge
-// pointer chains. The slice-based sweep in temporal.go is retained as
-// the reference implementation for equivalence tests; every public
-// entry point routes through the CSR engine.
+// pointer chains. The slice-based sweep over []Layer lives in
+// csr_test.go as the reference implementation for equivalence tests;
+// every public entry point routes through the CSR engine.
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -22,12 +23,17 @@ import (
 // li covers edge indices Off[li]..Off[li+1]; edge e has endpoints
 // Ends[2e] and Ends[2e+1]. Keys holds the strictly increasing time key
 // of each layer (window indices for a series, raw timestamps for a
-// stream). Edge sets are deduplicated per layer; for undirected
-// analyses endpoints are canonicalised (U < V) at build time.
+// stream). Edge sets are deduplicated per layer, ascending by packed
+// (U, V) key within the layer; for undirected analyses endpoints are
+// canonicalised (U < V) at build time. Weights, set by the builds from
+// events (BuildCSR, BuildCSRArena, StreamCSR) and nil otherwise, holds
+// the contact count of every edge: edge e aggregates Weights[e] events
+// of its window, and a layer's weights sum to its window's event count.
 type CSR struct {
-	Keys []int64
-	Off  []int // len(Keys)+1
-	Ends []int32
+	Keys    []int64
+	Off     []int // len(Keys)+1
+	Ends    []int32
+	Weights []int32
 
 	// arena links a pooled CSR back to its backing-array set; nil for
 	// plain-built CSRs. reused records whether that set came off a
@@ -110,11 +116,33 @@ func SeriesCSR(g *series.Series) *CSR {
 	return c
 }
 
-// CSRScratch is the reusable build scratch of BuildCSR: one uint64 sort
-// buffer sized to the largest layer seen so far. A single scratch
-// serialises builds; use one per goroutine.
+// CSRScratch is the reusable build scratch of BuildCSR. It holds one
+// edge-major order of the last event buffer it built from — the event
+// indices by ascending packed (U, V) key — plus each event's layer and
+// each layer's write cursor under the current delta, each sized for the
+// largest buffer seen (a layer per event at most): three int32s, 12
+// bytes, per event. The order is computed once per buffer and
+// re-checked on every build (see buildCSRInto), so a scratch may be
+// handed any buffer at any time. A single scratch serialises builds;
+// use one per goroutine.
 type CSRScratch struct {
-	keys []uint64
+	perm  []int32 // event indices by ascending (packed key, index)
+	layer []int32 // per event: its layer index; the sort's ping-pong buffer
+	cur   []int32 // per layer: the scatter's next write slot
+}
+
+// ErrBuildTooLarge reports an event buffer longer than the build's
+// int32 event indices can address.
+var ErrBuildTooLarge = errors.New("temporal: event buffer exceeds math.MaxInt32 events")
+
+// CheckBuildSize returns ErrBuildTooLarge when a buffer of n events is
+// too long for BuildCSR. Callers that can return an error call it
+// before their first build; BuildCSR itself can only panic.
+func CheckBuildSize(n int) error {
+	if int64(n) > math.MaxInt32 {
+		return ErrBuildTooLarge
+	}
+	return nil
 }
 
 // StreamCSR groups the events of the stream by timestamp into a CSR
@@ -131,13 +159,15 @@ func StreamCSR(s *linkstream.Stream, directed bool) *CSR {
 }
 
 // BuildCSR bucketises pre-sorted events into windows of length delta
-// starting at t0 (layer key = (T-t0)/delta) and deduplicates every
-// window by sort-and-compact, in one O(M log w) pass with w the largest
-// window population. Events must be sorted by time and already
-// canonicalised for undirected analyses (linkstream.Canonical); with
-// delta == 1 and t0 == 0 the keys are the raw timestamps, which is the
-// link-stream layering. scratch is reused across calls to avoid
-// per-delta allocation spikes.
+// starting at t0 (layer key = (T-t0)/delta), deduplicates every window
+// and counts each distinct edge's events into Weights, in O(M) time per
+// delta plus one O(M) radix sort per event buffer (see buildCSRInto).
+// Events must be sorted by time and already canonicalised for
+// undirected analyses (linkstream.Canonical); with delta == 1 and
+// t0 == 0 the keys are the raw timestamps, which is the link-stream
+// layering. scratch is reused across calls: builds of several deltas
+// over one buffer share its edge order. A buffer of more than
+// math.MaxInt32 events panics with ErrBuildTooLarge.
 func BuildCSR(events []linkstream.Event, t0, delta int64, scratch *CSRScratch) *CSR {
 	c := &CSR{}
 	if len(events) == 0 {
@@ -145,34 +175,186 @@ func BuildCSR(events []linkstream.Event, t0, delta int64, scratch *CSRScratch) *
 		return c
 	}
 	c.Ends = make([]int32, 0, 2*len(events))
+	c.Weights = make([]int32, 0, len(events))
 	buildCSRInto(c, events, t0, delta, scratch)
 	return c
 }
 
-// buildCSRInto runs the bucketise-and-compact build of BuildCSR into
-// c's (possibly arena-backed, zero-length) Keys/Off/Ends slices. events
-// must be non-empty.
+// buildCSRInto runs the build of BuildCSR into c's (possibly
+// arena-backed) zero-length Keys/Off/Ends/Weights slices, which must
+// have room for 2*len(events) endpoints and len(events) weights. events
+// must be non-empty. No window is sorted:
+//
+//  1. scratch.perm orders the buffer edge-major — event indices by
+//     ascending packed (U, V) key, ties by index — computed by
+//     sortEdges once per buffer, not once per delta;
+//  2. layerPass gives each event its layer (windows are contiguous in
+//     time order) and each layer its slot range, the layer's event
+//     range;
+//  3. scatter walks the order once and appends each event's edge to
+//     its layer, so every layer receives its edges by ascending key;
+//     an edge equal to the one its layer received last is counted,
+//     not written;
+//  4. compact closes the gaps the duplicates left.
+//
+// The order is trusted only while it holds: scatter checks that (key,
+// layer) never descends along it — which is exactly what makes the
+// appends sorted and the duplicates adjacent — and on a descent the
+// order is recomputed and the build redone. A stale order from another
+// buffer (or from this buffer before an in-place change) therefore
+// costs a re-sort, never a wrong graph.
 func buildCSRInto(c *CSR, events []linkstream.Event, t0, delta int64, scratch *CSRScratch) {
-	i := 0
-	for i < len(events) {
-		k := (events[i].T - t0) / delta
-		end := i
-		for end < len(events) && (events[end].T-t0)/delta == k {
-			end++
-		}
-		buf := scratch.keys[:0]
-		for _, e := range events[i:end] {
-			buf = append(buf, snapshot.PackEdge(e.U, e.V))
-		}
-		scratch.keys = buf
-		c.Keys = append(c.Keys, k)
-		c.Off = append(c.Off, len(c.Ends)/2)
-		for _, key := range snapshot.SortCompactEdgeKeys(buf) {
-			c.Ends = append(c.Ends, int32(key>>32), int32(uint32(key)))
-		}
-		i = end
+	if err := CheckBuildSize(len(events)); err != nil {
+		panic(err)
 	}
-	c.Off = append(c.Off, len(c.Ends)/2)
+	if len(scratch.perm) != len(events) {
+		scratch.sortEdges(events)
+	}
+	ends := c.Ends[:2*len(events)]
+	w := c.Weights[:len(events)]
+	scratch.layerPass(c, events, t0, delta)
+	if !scratch.scatter(events, ends, w) {
+		// The sort reuses scratch.layer, so the layer pass runs again.
+		scratch.sortEdges(events)
+		c.Keys, c.Off = c.Keys[:0], c.Off[:0]
+		scratch.layerPass(c, events, t0, delta)
+		if !scratch.scatter(events, ends, w) {
+			panic("temporal: fresh edge order is not sorted")
+		}
+	}
+	scratch.compact(c, ends, w)
+}
+
+// sortEdges computes scratch.perm for events: the event indices by
+// ascending packed (U, V) key, ties in index order, by an LSD radix
+// sort over the key bytes that skips every byte position all keys
+// share.
+func (s *CSRScratch) sortEdges(events []linkstream.Event) {
+	n := len(events)
+	var counts [8][256]int32 // counts[b][d]: events whose key byte b is d
+	for _, e := range events {
+		key := snapshot.PackEdge(e.U, e.V)
+		for b := range counts {
+			counts[b][byte(key>>(8*b))]++
+		}
+	}
+	perm, tmp := growInt32(s.perm, n), growInt32(s.layer, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	first := snapshot.PackEdge(events[0].U, events[0].V)
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(first>>(8*b))] == int32(n) {
+			continue
+		}
+		off := int32(0)
+		for d, k := range c {
+			c[d] = off
+			off += k
+		}
+		for _, i := range perm {
+			e := events[i]
+			d := byte(snapshot.PackEdge(e.U, e.V) >> (8 * b))
+			tmp[c[d]] = i
+			c[d]++
+		}
+		perm, tmp = tmp, perm
+	}
+	s.perm, s.layer = perm, tmp
+}
+
+// layerPass appends every window's key to c.Keys and the index of its
+// first event to c.Off, records each event's layer in s.layer and
+// points each layer's write cursor s.cur at its first event's slot.
+// Events are sorted by time, so a window ends at the first event past
+// its last offset and no event needs a division.
+func (s *CSRScratch) layerPass(c *CSR, events []linkstream.Event, t0, delta int64) {
+	layer := growInt32(s.layer, len(events))
+	cur := growInt32(s.cur, len(events))[:0] // a layer per event at most
+	li := int32(-1)
+	last := int64(0)
+	for i := range events {
+		if d := events[i].T - t0; li < 0 || d > last {
+			k := d / delta
+			c.Keys = append(c.Keys, k)
+			c.Off = append(c.Off, i)
+			cur = append(cur, int32(i))
+			last = windowLast(k, delta)
+			li++
+		}
+		layer[i] = li
+	}
+	s.layer, s.cur = layer, cur
+}
+
+// windowLast returns the largest offset d with d/delta == k under Go's
+// truncating division: the last offset of window k.
+func windowLast(k, delta int64) int64 {
+	switch {
+	case k < 0:
+		return k * delta
+	case k*delta > math.MaxInt64-(delta-1):
+		return math.MaxInt64
+	default:
+		return k*delta + delta - 1
+	}
+}
+
+// scatter walks s.perm once, appending each event's edge to its layer
+// in ends (as U, V) with weight 1, or adding 1 to the weight of the
+// layer's last edge when the event repeats it. It reports false, with
+// the output unspecified, when (key, layer) descends along s.perm: the
+// order does not sort this buffer.
+func (s *CSRScratch) scatter(events []linkstream.Event, ends, w []int32) bool {
+	layer, cur := s.layer, s.cur
+	prevKey, prevLayer, pos := uint64(0), int32(-1), int32(0)
+	for _, i := range s.perm {
+		e := events[i]
+		key := snapshot.PackEdge(e.U, e.V)
+		l := layer[i]
+		if key <= prevKey {
+			if key == prevKey && l == prevLayer {
+				w[pos]++
+				continue
+			}
+			if key < prevKey || l < prevLayer {
+				return false
+			}
+		}
+		pos = cur[l]
+		cur[l] = pos + 1
+		ends[2*pos], ends[2*pos+1] = e.U, e.V
+		w[pos] = 1
+		prevKey, prevLayer = key, l
+	}
+	return true
+}
+
+// compact moves every layer's edges and weights down to close the gaps
+// its duplicates left, rewrites c.Off from event offsets to edge
+// offsets and sets c.Ends and c.Weights to the compacted prefixes.
+func (s *CSRScratch) compact(c *CSR, ends, w []int32) {
+	n := 0
+	for l, end := range s.cur {
+		start := c.Off[l]
+		c.Off[l] = n
+		if start != n {
+			copy(ends[2*n:], ends[2*start:2*int(end)])
+			copy(w[n:], w[start:end])
+		}
+		n += int(end) - start
+	}
+	c.Off = append(c.Off, n)
+	c.Ends, c.Weights = ends[:2*n], w[:n]
+}
+
+// growInt32 returns b resized to n, reallocated when too small.
+func growInt32(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 // occChunkLen is the fixed capacity of occupancy sink chunks: big

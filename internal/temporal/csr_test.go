@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -60,6 +61,21 @@ func TestBuildCSRDuplicatesAndWindows(t *testing.T) {
 	}
 }
 
+// TestCheckBuildSize pins the build's int32 event-index bound: a buffer
+// past math.MaxInt32 events is refused, not wrapped.
+func TestCheckBuildSize(t *testing.T) {
+	if err := CheckBuildSize(math.MaxInt32); err != nil {
+		t.Fatalf("CheckBuildSize(MaxInt32) = %v, want nil", err)
+	}
+	over := int64(math.MaxInt32) + 1
+	if int64(int(over)) != over {
+		t.Skip("int cannot hold more than math.MaxInt32 events")
+	}
+	if err := CheckBuildSize(int(over)); !errors.Is(err, ErrBuildTooLarge) {
+		t.Fatalf("CheckBuildSize(MaxInt32+1) = %v, want ErrBuildTooLarge", err)
+	}
+}
+
 func TestStreamCSRDirectedVsUndirected(t *testing.T) {
 	s := linkstream.New()
 	s.EnsureNodes(3)
@@ -107,6 +123,131 @@ func TestFromLayersRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spreadMultipliers spread the dense node ids 0..15 of FuzzBuildCSR
+// over one to four bytes each, so that from 1 up to all 8 bytes of the
+// packed (U, V) keys vary. Multiplying by a positive constant without
+// overflow is monotonic, so the spread keys sort like the dense ones.
+var spreadMultipliers = [...]int32{1, 0x100, 0x10000, 0x1000000, 0x1001, 0x101, 0x10101, 0x1010101, 0x8080808}
+
+// spreadEvents returns a copy of events with every node id multiplied
+// by mult.
+func spreadEvents(events []linkstream.Event, mult int32) []linkstream.Event {
+	out := make([]linkstream.Event, len(events))
+	for i, e := range events {
+		out[i] = linkstream.Event{U: e.U * mult, V: e.V * mult, T: e.T}
+	}
+	return out
+}
+
+// buildOracle is the CSR the build must produce from the spread copy of
+// dense: series.Aggregate over a stream of the dense events (taken as
+// given when directed, canonicalised otherwise), flattened by SeriesCSR
+// and spread by mult.
+func buildOracle(t *testing.T, dense []linkstream.Event, delta int64, directed bool, mult int32) *CSR {
+	t.Helper()
+	s := linkstream.New()
+	s.EnsureNodes(16)
+	for _, e := range dense {
+		if err := s.AddID(e.U, e.V, e.T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := series.Aggregate(s, delta, directed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := SeriesCSR(g)
+	for i := range c.Ends {
+		c.Ends[i] *= mult
+	}
+	return c
+}
+
+// FuzzBuildCSR holds the sort-free build to an exact oracle: Keys, Off
+// and Ends must equal series.Aggregate's windows and Weights the map
+// count, for directed and canonicalised buffers whose node ids vary in
+// 1 to 8 key bytes. Three deltas run through one scratch, which then
+// serves two buffers its cached edge order does not sort: the same
+// buffer changed in place (one event's endpoints swapped, or a node
+// relabelled) and a different buffer of the same length.
+func FuzzBuildCSR(f *testing.F) {
+	f.Add(byte(0), byte(0), []byte{1, 2, 0, 3, 4, 0, 1, 2, 5, 2, 1, 9, 7, 3, 9, 0, 5, 40})
+	f.Add(byte(1), byte(7), []byte{0, 1, 3, 1, 0, 3, 2, 5, 3, 5, 2, 4, 0, 14, 8, 14, 0, 8, 3, 4, 200})
+	f.Add(byte(6), byte(8), []byte{9, 1, 0, 1, 9, 0, 1, 9, 0, 4, 13, 2, 13, 4, 2, 6, 7, 2, 11, 12, 255})
+	f.Add(byte(255), byte(5), []byte{14, 13, 1, 12, 11, 1, 10, 9, 2, 8, 7, 3, 6, 5, 5, 4, 3, 8, 2, 1, 13, 0, 14, 21})
+	// The relabel leaves the stale order's keys ascending but visits
+	// one key's layers out of order: only the layer half of the
+	// descent check catches it.
+	f.Add(byte(0x1c), byte(','), []byte("012017100100Z00010"))
+	f.Fuzz(func(t *testing.T, mode, spread byte, data []byte) {
+		directed := mode&1 == 0
+		mult := spreadMultipliers[int(spread)%len(spreadMultipliers)]
+		var dense []linkstream.Event
+		for len(data) >= 3 {
+			u, v := int32(data[0]%15), int32(data[1]%15)
+			tt := int64(data[2])
+			data = data[3:]
+			if u != v {
+				dense = append(dense, linkstream.Event{T: tt, U: u, V: v})
+			}
+		}
+		if len(dense) == 0 {
+			return
+		}
+		linkstream.SortEvents(dense)
+		if !directed {
+			dense = linkstream.Canonical(dense)
+		}
+		check := func(label string, events, dense []linkstream.Event, delta int64, directed bool, scratch *CSRScratch) {
+			t.Helper()
+			t0 := events[0].T
+			c := BuildCSR(events, t0, delta, scratch)
+			csrEqual(t, c, buildOracle(t, dense, delta, directed, mult), label)
+			checkWeights(t, events, t0, delta, c, c.Weights)
+		}
+
+		var scratch CSRScratch
+		events := spreadEvents(dense, mult)
+		deltas := []int64{1 + int64(mode>>2), 7, 300}
+		for _, delta := range deltas {
+			check("fresh buffer", events, dense, delta, directed, &scratch)
+		}
+
+		// Change the buffer in place: swap one event's endpoints, or
+		// relabel one node to the unused id 15. Either may leave a
+		// canonical buffer non-canonical, so the oracle takes the
+		// buffer as given from here on.
+		j := int(mode>>1) % len(dense)
+		if mode&2 == 0 {
+			dense[j].U, dense[j].V = dense[j].V, dense[j].U
+		} else {
+			a := dense[j].U
+			for i := range dense {
+				if dense[i].U == a {
+					dense[i].U = 15
+				}
+				if dense[i].V == a {
+					dense[i].V = 15
+				}
+			}
+		}
+		for i, e := range spreadEvents(dense, mult) {
+			events[i] = e
+		}
+		for _, delta := range deltas {
+			check("buffer changed in place", events, dense, delta, true, &scratch)
+		}
+
+		// A different buffer of the same length: every node id
+		// mirrored, which reverses the key order.
+		other := make([]linkstream.Event, len(dense))
+		for i, e := range dense {
+			other[i] = linkstream.Event{U: 15 - e.U, V: 15 - e.V, T: e.T}
+		}
+		check("different buffer", spreadEvents(other, mult), other, deltas[0], true, &scratch)
+	})
 }
 
 // --- Equivalence of the CSR sweep and the slice-based reference ---

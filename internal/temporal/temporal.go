@@ -84,7 +84,7 @@ func SeriesLayers(g *series.Series) []Layer {
 // StreamLayers groups the events of a (sorted) link stream by timestamp
 // into engine layers with raw timestamps as keys. If directed is false,
 // edges are canonicalised; duplicated events inside a timestamp are
-// collapsed (by sort-and-compact, via the CSR builder).
+// collapsed (by the CSR builder, see BuildCSR).
 func StreamLayers(s *linkstream.Stream, directed bool) []Layer {
 	return StreamCSR(s, directed).Layers()
 }

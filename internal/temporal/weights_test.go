@@ -8,8 +8,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// mapWeights is the obvious reference for EdgeWeightsCSR: count the
-// contacts of every (window, packed edge) pair in nested maps.
+// mapWeights is the obvious reference for the build's weights
+// (CSR.Weights): count the contacts of every (window, packed edge) pair
+// in nested maps.
 func mapWeights(events []linkstream.Event, t0, delta int64) map[int64]map[uint64]int32 {
 	counts := make(map[int64]map[uint64]int32)
 	for _, e := range events {
@@ -24,7 +25,7 @@ func mapWeights(events []linkstream.Event, t0, delta int64) map[int64]map[uint64
 	return counts
 }
 
-// checkWeights asserts the EdgeWeightsCSR contract against the map
+// checkWeights asserts the CSR.Weights contract against the map
 // reference: one weight per CSR edge, aligned index-for-index, every
 // weight ≥ 1, and each layer summing to its window's event count.
 func checkWeights(t *testing.T, events []linkstream.Event, t0, delta int64, c *CSR, w []int32) {
@@ -77,16 +78,15 @@ func TestEdgeWeightsCSRMatchesMapCount(t *testing.T) {
 		linkstream.SortEvents(events)
 		t0 := events[0].T
 		for _, delta := range []int64{1, 7, 50, 500} {
-			var bs, ws CSRScratch
-			c := BuildCSR(events, t0, delta, &bs)
-			w := EdgeWeightsCSR(events, t0, delta, c, &ws)
-			checkWeights(t, events, t0, delta, c, w)
+			var scratch CSRScratch
+			c := BuildCSR(events, t0, delta, &scratch)
+			checkWeights(t, events, t0, delta, c, c.Weights)
 		}
 	}
 }
 
-// FuzzEdgeWeights fuzzes the weighted-aggregation accumulator: decode
-// an arbitrary event list from the input, build the CSR and its
+// FuzzEdgeWeights fuzzes the weighted aggregation the build counts:
+// decode an arbitrary event list from the input, build the CSR with its
 // weights, and check the alignment and conservation invariants against
 // the map reference.
 func FuzzEdgeWeights(f *testing.F) {
@@ -115,9 +115,8 @@ func FuzzEdgeWeights(f *testing.F) {
 		}
 		linkstream.SortEvents(events)
 		t0 := events[0].T
-		var bs, ws CSRScratch
-		c := BuildCSR(events, t0, delta, &bs)
-		w := EdgeWeightsCSR(events, t0, delta, c, &ws)
-		checkWeights(t, events, t0, delta, c, w)
+		var scratch CSRScratch
+		c := BuildCSR(events, t0, delta, &scratch)
+		checkWeights(t, events, t0, delta, c, c.Weights)
 	})
 }
