@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -25,14 +26,33 @@ import (
 //
 // A string token holding an escape or invalid UTF-8 is handed to
 // encoding/json for unquoting; every other token is read here.
+//
+// The plan and shard decoders of internal/serve do not reach the
+// parser through encoding/json: they find each inline value inside the
+// request body and read it there with DecodePrefix, leaving the rest
+// of the body to encoding/json.
 func (s *InlineEvents) UnmarshalJSON(data []byte) error {
-	p := inlineParser{data: data}
-	out, err := p.array(*s)
+	n, err := s.DecodePrefix(data)
 	if err != nil {
 		return err
 	}
+	p := inlineParser{data: data, i: n}
+	return p.end()
+}
+
+// DecodePrefix decodes the inline array at the start of data, after
+// any white space, by UnmarshalJSON's rules, and returns the offset
+// just past the value. What follows the value is left unread;
+// UnmarshalJSON is DecodePrefix plus the check that only white space
+// follows.
+func (s *InlineEvents) DecodePrefix(data []byte) (int, error) {
+	p := inlineParser{data: data}
+	out, err := p.array(*s)
+	if err != nil {
+		return 0, err
+	}
 	*s = out
-	return nil
+	return p.i, nil
 }
 
 // inlineParser reads one inline array: i is the read offset into data
@@ -42,15 +62,12 @@ type inlineParser struct {
 	i, n int
 }
 
-// array reads the whole input, null or an array of events, into out's
+// array reads one value, null or an array of events, into out's
 // backing array.
 func (p *inlineParser) array(out InlineEvents) (InlineEvents, error) {
 	switch p.next() {
 	case 'n':
-		if err := p.null(); err != nil {
-			return nil, err
-		}
-		return nil, p.end()
+		return nil, p.null()
 	case '[':
 		p.i++
 	default:
@@ -58,20 +75,13 @@ func (p *inlineParser) array(out InlineEvents) (InlineEvents, error) {
 	}
 	if p.next() == ']' {
 		p.i++
-		return InlineEvents{}, p.end()
-	}
-	if cap(out) == 0 {
-		// Size the slice once from the braces, which open every event
-		// object; the cap of one event per 16 bytes of input keeps
-		// braces inside strings from inflating it.
-		out = make(InlineEvents, 0, min(bytes.Count(p.data, []byte{'{'}), len(p.data)/16))
+		return InlineEvents{}, nil
 	}
 	for ; ; p.n++ {
-		if p.n < cap(out) {
-			out = out[:p.n+1]
-		} else {
-			out = append(out, InlineEvent{})
+		if p.n == cap(out) {
+			out = slices.Grow(out[:p.n], p.room())
 		}
+		out = out[:p.n+1]
 		if err := p.event(&out[p.n]); err != nil {
 			return nil, err
 		}
@@ -80,11 +90,25 @@ func (p *inlineParser) array(out InlineEvents) (InlineEvents, error) {
 			p.i++
 		case ']':
 			p.i++
-			return out[:p.n+1], p.end()
+			return out[:p.n+1], nil
 		default:
 			return nil, p.syntax("',' or ']'")
 		}
 	}
+}
+
+// room estimates how many events are left to read: the braces, which
+// open every event object, up to the next ']', at the latest the one
+// that closes the array. Counting no further keeps a prefix decode
+// from paying for the input after the array; one event per 16 bytes at
+// most keeps braces inside strings from inflating the estimate. A ']'
+// inside a string only makes it short, and the array grows again.
+func (p *inlineParser) room() int {
+	rest := p.data[p.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return max(1, min(bytes.Count(rest, []byte{'{'}), len(rest)/16))
 }
 
 // event reads one element: null, or an object whose fields overwrite

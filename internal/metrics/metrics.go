@@ -217,7 +217,9 @@ func (o *DegreeObserver) Begin(v *sweep.StreamView) error {
 	return nil
 }
 
-// ObservePeriod scores one period straight off its layer arena.
+// ObservePeriod scores one period straight off its layer arena. Each
+// layer's degree classes come from a counting pass over its touched
+// nodes, O(layer edges), not from a sort of its degrees.
 func (o *DegreeObserver) ObservePeriod(p *sweep.Period) error {
 	pt := DegreePoint{Delta: p.Delta}
 	n := o.n
@@ -225,9 +227,15 @@ func (o *DegreeObserver) ObservePeriod(p *sweep.Period) error {
 		deg := make([]int32, n)
 		stamp := newStamps(n)
 		touched := make([]int32, 0, 64)
-		var degs []int32
-		var sumMean, sumMax, sumEnt float64
 		c := p.Graph
+		// A node's degree is at most twice its layer's edge count, and,
+		// the layer's edges being distinct, at most 2n.
+		widest := 0
+		for li := 0; li < c.NumLayers(); li++ {
+			widest = max(widest, c.Off[li+1]-c.Off[li])
+		}
+		counts := make([]int32, 2*min(widest, n)+1)
+		var sumMean, sumMax, sumEnt float64
 		for li := 0; li < c.NumLayers(); li++ {
 			lo, hi := c.Off[li], c.Off[li+1]
 			touched = touched[:0]
@@ -244,15 +252,13 @@ func (o *DegreeObserver) ObservePeriod(p *sweep.Period) error {
 			}
 			m := hi - lo
 			sumMean += 2 * float64(m) / float64(n)
-			degs = degs[:0]
+			top := int32(0)
 			for _, x := range touched {
-				degs = append(degs, deg[x])
+				counts[deg[x]]++
+				top = max(top, deg[x])
 			}
-			slices.Sort(degs)
-			if len(degs) > 0 {
-				sumMax += float64(degs[len(degs)-1])
-			}
-			sumEnt += degreeEntropy(o.terms, n, degs)
+			sumMax += float64(top)
+			sumEnt += degreeEntropy(o.terms, n-len(touched), counts[:top+1])
 		}
 		k := float64(p.NumWindows)
 		pt.MeanDegree = sumMean / k
@@ -283,27 +289,22 @@ func (o *DegreeObserver) Curve() Curve {
 }
 
 // degreeEntropy is the Shannon entropy (nats) of a snapshot's degree
-// distribution over all n nodes: degs holds the sorted degrees of the
-// non-isolated nodes, the remaining n−len(degs) nodes have degree 0,
-// and terms[c] is the p·ln p term of a class of c nodes. Classes
-// accumulate in ascending degree order on both the engine and the
+// distribution: zeros nodes have degree 0, counts[d] nodes degree d
+// for d ≥ 1, and terms[c] is the p·ln p term of a class of c nodes.
+// It zeroes counts as it walks them. Classes accumulate in ascending
+// degree order, the degree-0 class first, on both the engine and the
 // reference side, keeping the two within float tolerance of a single
 // rounding.
-func degreeEntropy(terms []float64, n int, degs []int32) float64 {
+func degreeEntropy(terms []float64, zeros int, counts []int32) float64 {
 	ent := 0.0
-	class := func(count int) {
-		if count > 0 {
-			ent -= terms[count]
-		}
+	if zeros > 0 {
+		ent -= terms[zeros]
 	}
-	class(n - len(degs)) // the degree-0 class
-	for i := 0; i < len(degs); {
-		j := i
-		for j < len(degs) && degs[j] == degs[i] {
-			j++
+	for d := 1; d < len(counts); d++ {
+		if c := counts[d]; c > 0 {
+			ent -= terms[c]
+			counts[d] = 0
 		}
-		class(j - i)
-		i = j
 	}
 	return ent
 }

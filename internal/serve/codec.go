@@ -14,6 +14,19 @@
 // fields and a second payload field, and never panic on truncated or
 // mutated input — pinned by FuzzPlanCodec, and for the inline-event
 // parser by FuzzInlineEvents.
+//
+// Plan and shard messages carry their largest part, the inline event
+// array, where encoding/json would read it twice before the parser
+// reads it once more. So their decoders first run a locator: it walks
+// the envelope key by key down to the spec and hands each inline value
+// of the spec, where it sits, to repro.InlineEvents.DecodePrefix. What
+// is left of the body, each such value replaced by null, then takes
+// the envelope's one strict encoding/json pass, which stays the only
+// decoder of every other field; the parsed events are set on the spec
+// after it. When the walk cannot finish, the whole body takes that
+// pass as it came, so the locator decides how fast a message decodes,
+// never what it decodes to — pinned by FuzzInlineLocator against
+// encoding/json alone.
 package serve
 
 import (
@@ -86,14 +99,20 @@ type Partial struct {
 func EncodeShard(sh *Shard) ([]byte, error) { return encodeEnvelope("shard", sh) }
 
 // DecodeShard decodes a versioned shard message, as strictly as
-// DecodePlan decodes specs.
+// DecodePlan decodes specs and the same way: the locator reads the
+// inline arrays of the shard's spec in place, and encoding/json the
+// rest of the body.
 func DecodeShard(data []byte) (*Shard, error) {
-	sh, err := decodeEnvelope[Shard]("shard", data)
+	body, inline, walked := splitInline(data, shardInline)
+	sh, err := decodeEnvelope[Shard]("shard", body)
 	if err != nil {
 		return nil, err
 	}
 	if sh.Spec == nil {
 		return nil, errors.New("serve: shard: missing spec")
+	}
+	if walked {
+		sh.Spec.Inline = inline
 	}
 	canonicalize(sh.Spec)
 	return sh, nil
@@ -117,23 +136,217 @@ func DecodePartial(data []byte) (*Partial, error) {
 // EncodePlan wraps a plan spec in the versioned envelope.
 func EncodePlan(spec *repro.PlanSpec) ([]byte, error) { return encodeEnvelope("plan", spec) }
 
-// DecodePlan decodes a versioned plan-spec message in one strict pass:
-// the spec decodes in place inside the envelope, and the inline event
-// array through InlineEvents.UnmarshalJSON, a parser without
-// reflection that accepts, rejects and produces exactly what
-// encoding/json does for it. Unknown envelope, spec or event fields, a
-// missing or null payload, a second payload field and any version
-// other than CodecVersion are errors naming the offending field.
-// Empty arrays decode to nil, as omitempty encodes nil and empty
-// alike, so that every decoded spec survives EncodePlan and DecodePlan
-// unchanged.
+// DecodePlan decodes a versioned plan-spec message. The locator reads
+// each inline event array of the spec where it sits in data, with
+// InlineEvents.DecodePrefix, a parser without reflection that accepts,
+// rejects and produces exactly what encoding/json does for the array;
+// the rest of the body, each array replaced by null, decodes in one
+// strict encoding/json pass with the spec in place inside the
+// envelope. A body the locator cannot walk takes that pass whole.
+// Unknown envelope, spec or event fields, a missing or null payload, a
+// second payload field and any version other than CodecVersion are
+// errors naming the offending field. Empty arrays decode to nil, as
+// omitempty encodes nil and empty alike, so that every decoded spec
+// survives EncodePlan and DecodePlan unchanged.
 func DecodePlan(data []byte) (*repro.PlanSpec, error) {
-	spec, err := decodeEnvelope[repro.PlanSpec]("plan", data)
+	body, inline, walked := splitInline(data, planInline)
+	spec, err := decodeEnvelope[repro.PlanSpec]("plan", body)
 	if err != nil {
 		return nil, err
 	}
+	if walked {
+		spec.Inline = inline
+	}
 	canonicalize(spec)
 	return spec, nil
+}
+
+// The key paths from an envelope to the inline values of its spec.
+var (
+	planInline  = []string{"plan", "inline"}
+	shardInline = []string{"shard", "spec", "inline"}
+)
+
+// splitInline runs the locator over data: it walks the envelope
+// object key by key, descending into the value of every key that
+// selects path's next field, and reads the value of every key that
+// selects its last field, the spec's inline, with DecodePrefix. A key
+// selects a field as it does in encoding/json, so repeated keys apply
+// in document order to the one slice, and a null on the way resets
+// it, as encoding/json's null resets the pointer that holds the spec.
+// A walk that meets a malformed object on the path, or an inline value
+// the parser rejects, does not finish.
+//
+// When the walk finishes, body is data with every inline value on the
+// path replaced by null, and events holds those values decoded in
+// document order onto one slice, as encoding/json would have decoded
+// them onto the spec's. When it does not, body is data as it came, and
+// encoding/json decodes the inline values as well.
+//
+// Every byte outside the inline values stays in the body that
+// decodeEnvelope decodes, so the walk needs to find value boundaries
+// only, not to validate: skip is exact on valid JSON, and whatever it
+// makes of invalid JSON, encoding/json rejects the same bytes.
+func splitInline(data []byte, path []string) (body []byte, events repro.InlineEvents, walked bool) {
+	l := locator{data: data}
+	switch {
+	case !l.object(path):
+		return data, nil, false
+	case l.rest == nil: // no inline value: nothing to copy
+		return data, nil, true
+	}
+	return append(l.rest, data[l.from:]...), l.events, true
+}
+
+// locator is the walk of splitInline: i is the read offset into data,
+// rest holds data up to from with every inline value read so far
+// replaced by null, and events is the slice those values decode onto.
+type locator struct {
+	data   []byte
+	i      int
+	rest   []byte
+	from   int
+	events repro.InlineEvents
+}
+
+// object walks the object at the read offset down path.
+func (l *locator) object(path []string) bool {
+	if l.next() != '{' {
+		return false
+	}
+	l.i++
+	if l.next() == '}' {
+		l.i++
+		return true
+	}
+	for {
+		key, ok := l.key()
+		if !ok || l.next() != ':' {
+			return false
+		}
+		l.i++
+		// encoding/json selects a field by its name, or else by the name
+		// under simple Unicode case folding, as bytes.EqualFold compares,
+		// so that ſ (U+017F) selects s. No other field of the envelope,
+		// Shard or PlanSpec folds like the names on the paths.
+		switch c := l.next(); {
+		case !bytes.EqualFold(key, []byte(path[0])):
+			ok = l.skip()
+		case len(path) == 1:
+			ok = l.inline()
+		case c == '{':
+			ok = l.object(path[1:])
+		default:
+			if c == 'n' { // null resets the spec, and its events with it
+				l.events = nil
+			}
+			ok = l.skip()
+		}
+		if !ok {
+			return false
+		}
+		switch l.next() {
+		case ',':
+			l.i++
+		case '}':
+			l.i++
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// inline reads the inline value at the read offset onto the events and
+// puts null in its place in the rest.
+func (l *locator) inline() bool {
+	start := l.i
+	n, err := l.events.DecodePrefix(l.data[start:])
+	if err != nil {
+		return false
+	}
+	l.rest = append(append(l.rest, l.data[l.from:start]...), "null"...)
+	l.i = start + n
+	l.from = l.i
+	return true
+}
+
+// key reads the object key at the read offset, unquoted by
+// encoding/json when it holds an escape.
+func (l *locator) key() ([]byte, bool) {
+	if l.next() != '"' {
+		return nil, false
+	}
+	start := l.i
+	escaped, ok := l.str()
+	switch {
+	case !ok:
+		return nil, false
+	case !escaped:
+		return l.data[start+1 : l.i-1], true
+	}
+	var key string
+	if json.Unmarshal(l.data[start:l.i], &key) != nil {
+		return nil, false
+	}
+	return []byte(key), true
+}
+
+// str moves the read offset past the string token there and reports
+// whether the token holds an escape.
+func (l *locator) str() (escaped, ok bool) {
+	for i := l.i + 1; i < len(l.data); i++ {
+		switch l.data[i] {
+		case '"':
+			l.i = i + 1
+			return escaped, true
+		case '\\':
+			escaped = true
+			i++
+		}
+	}
+	return false, false
+}
+
+// skip moves the read offset to the end of the value there: to the
+// first ',', '}' or ']' outside its strings and brackets.
+func (l *locator) skip() bool {
+	depth := 0
+	for l.i < len(l.data) {
+		switch l.data[l.i] {
+		case '"':
+			if _, ok := l.str(); !ok {
+				return false
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return true
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				return true
+			}
+		}
+		l.i++
+	}
+	return false
+}
+
+// next skips white space and returns the byte at the read offset, 0
+// at the end of the input.
+func (l *locator) next() byte {
+	for ; l.i < len(l.data); l.i++ {
+		switch c := l.data[l.i]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
+	}
+	return 0
 }
 
 // canonicalize sets the spec's empty arrays to nil.

@@ -134,6 +134,39 @@ func TestPlanCodecStrictness(t *testing.T) {
 	}
 }
 
+// TestInlineLocatorTakesArraysOut pins what the locator is for: the
+// body encoding/json decodes keeps null where the inline array was, the
+// array is decoded once, by the parser, and a body without an inline
+// array goes to encoding/json as it came, uncopied.
+func TestInlineLocatorTakesArraysOut(t *testing.T) {
+	events := []repro.InlineEvent{{U: "a", V: "b", T: 1}, {U: "b", V: "c", T: 2}}
+	plan, err := EncodePlan(&repro.PlanSpec{Inline: events, GridPoints: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := EncodeShard(&Shard{Lane: 2, Spec: &repro.PlanSpec{Inline: events, WindowsOnly: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		data []byte
+		path []string
+		rest string
+	}{
+		{plan, planInline, `{"v":1,"plan":{"inline":null,"grid_points":8}}`},
+		{shard, shardInline, `{"v":1,"shard":{"lane":2,"spec":{"inline":null,"windows_only":true}}}`},
+	} {
+		body, got, walked := splitInline(c.data, c.path)
+		if !walked || string(body) != c.rest || !reflect.DeepEqual([]repro.InlineEvent(got), events) {
+			t.Errorf("split %s into walked %v, %s, %v; want %s and the events", c.data, walked, body, got, c.rest)
+		}
+	}
+	ref := []byte(`{"v":1,"plan":{"stream":{"path":"a.lsc"},"grid":[60,3600]}}`)
+	if body, _, walked := splitInline(ref, planInline); !walked || &body[0] != &ref[0] || len(body) != len(ref) {
+		t.Errorf("a body without inline events was copied or not walked: %s", body)
+	}
+}
+
 func TestProgressCodecRoundTrip(t *testing.T) {
 	ev := repro.ProgressEvent{
 		Pass:         2,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -177,6 +178,127 @@ func oracleInlineEvents(data []byte, events []repro.InlineEvent) ([]repro.Inline
 		return nil, fmt.Errorf("data after the value: %v %v", tok, err)
 	}
 	return events, nil
+}
+
+// FuzzInlineLocator checks the plan and shard decoders, whose locator
+// reads the inline arrays in place and leaves the rest of the body to
+// encoding/json, against encoding/json alone: decodeEnvelope on the
+// whole body, then canonicalize. On every input both accept or both
+// reject with the same error, what they accept is the same, and
+// whenever encoding/json accepts, the locator walked the body to the
+// end: its fallback to the whole-body pass must never hide a walk that
+// gives up on a valid message.
+func FuzzInlineLocator(f *testing.F) {
+	const ev = `{"u":"a","v":"b","t":1}`
+	for _, s := range []string{
+		`{"v":1,"plan":{"inline":[` + ev + `],"metrics":["degree"]}}`,
+		// Repeated keys apply in document order to one slice: the second
+		// array overwrites the first's elements field by field.
+		`{"v":1,"plan":{"inline":[` + ev + `,{"u":"c","v":"d","t":2}],"inline":[{"u":"x"}]}}`,
+		`{"v":1,"plan":{"inline":[` + ev + `,{"u":"c","v":"d","t":2}],"inline":[{"u":"x"}],"inline":[{},{},{"t":3}]}}`,
+		`{"v":1,"plan":{"inline":[` + ev + `]},"plan":{"grid_points":8}}`,
+		// A null payload resets the spec, and its inline events with it.
+		`{"v":1,"plan":{"inline":[` + ev + `]},"plan":null,"plan":{"metrics":["degree"]}}`,
+		`{"v":1,"plan":{"inline":[` + ev + `]},"plan":null}`,
+		// Keys match as encoding/json matches them.
+		`{"v":1,"plan":{"INLINE":[` + ev + `],"Inline":[{"t":2}],"inline":[{"v":"c"}]}}`,
+		`{"v":1,"PLAN":{"iNlInE":[` + ev + `]}}`,
+		`{"v":1,"pl\u0061n":{"\u0069nline":[` + ev + `]}}`,
+		`{"v":1,"plan":{"inline\u0000":[` + ev + `]}}`,
+		`{"v":1,"plan":{"ınline":[` + ev + `]}}`,
+		`{"v":1,"ſhard":{"lane":1,"ſpec":{"inline":[` + ev + `]}}}`,
+		`{"v":1,"shard":{"lane":2,"spec":{"inline":[` + ev + `]}}}`,
+		`{"v":1,"shard":{"spec":{"inline":[` + ev + `]},"spec":null,"spec":{}}}`,
+		`{"v":1,"shard":{"spec":{"inline":[` + ev + `]}},"shard":null,"shard":{"spec":{}}}`,
+		`{"v":1,"shard":{"spec":{"inline":[` + ev + `]}},"shard":{"lane":3}}`,
+		`{"v":1,"shard":{"spec":{"inline":[` + ev + `]},"spec":5}}`,
+		// inline keys the spec does not own.
+		`{"v":1,"plan":{"stream":{"path":"a.lsc","inline":[` + ev + `]}}}`,
+		`{"v":1,"plan":{"windows":[{"start":0,"end":9,"inline":[` + ev + `]}]}}`,
+		`{"v":1,"inline":[` + ev + `],"plan":{}}`,
+		`{"v":1,"report":{"inline":[` + ev + `]},"plan":{}}`,
+		`{"v":1,"plan":[{"inline":[` + ev + `]}]}`,
+		// The text of an inline key inside strings.
+		`{"v":1,"plan":{"metrics":["\"inline\":[{\"u\":\"a\"}]"],"inline":[` + ev + `]}}`,
+		`{"v":1,"plan":{"stream":{"path":"\"inline\":["}}}`,
+		`{"v":1,"plan":{"stream":{"path":"\\"},"inline":[` + ev + `]}}`,
+		`{"v":1,"plan":{"stream":{"path":"x\""},"inline":[` + ev + `]}}`,
+		`{"v":1,"plan":{"metrics":["a\"],\"inline\":[{\"u\":\"z\"}],\"b"],"inline":[` + ev + `]}}`,
+		// inline as null, [], an object and a number.
+		`{"v":1,"plan":{"inline":null}}`,
+		`{"v":1,"plan":{"inline":[` + ev + `],"inline":null}}`,
+		`{"v":1,"plan":{"inline":[]}}`,
+		`{"v":1,"plan":{"inline":{}}}`,
+		`{"v":1,"plan":{"inline":1}}`,
+		`{"v":1,"plan":{"inline":nullx}}`,
+		// White space around every colon and comma.
+		" \t{ \"v\" : 1 ,\r\n\"plan\" :\n{ \"inline\"\t:\t[ " + ev + " ] , \"grid\" : [ 60 ] } } \n",
+		// Trailing data, truncation, and nesting the walk must skip.
+		`{"v":1,"plan":{"inline":[` + ev + `]}}x`,
+		`{"v":1,"plan":{"inline":[` + ev + `]}}{}`,
+		`{"v":1,"plan":{"inline":[` + ev + `]}`,
+		`{"v":1,"plan":{"inline":[` + ev,
+		`{"v":1,"plan":{"adaptive":{"bins":[[{"a":"}"}]]},"inline":[` + ev + `]}}`,
+		// A message of another version is rejected naming v, even when
+		// its inline array holds an unknown event field.
+		`{"v":2,"plan":{"inline":[{"w":1}]}}`,
+		`{"v":2,"plan":{"inline":[` + ev + `],"future_knob":1}}`,
+		`{"v":2,"shard":{"spec":{"inline":[{"w":1}]}}}`,
+		`{"plan":{"inline":[` + ev + `]},"v":1}`,
+	} {
+		f.Add([]byte(s))
+	}
+	events := []repro.InlineEvent{{U: "a", V: "b", T: 1}, {U: "b", V: "c", T: 2}}
+	if data, err := EncodePlan(&repro.PlanSpec{Inline: events, Metrics: []string{"degree"}, GridPoints: 8}); err == nil {
+		f.Add(data)
+	}
+	if data, err := EncodeShard(&Shard{Lane: 1, Spec: &repro.PlanSpec{Inline: events, WindowsOnly: true}}); err == nil {
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, planErr := DecodePlan(data)
+		wantPlan, wantPlanErr := decodeEnvelope[repro.PlanSpec]("plan", data)
+		if wantPlanErr == nil {
+			canonicalize(wantPlan)
+		}
+		checkLocated(t, "plan", data, planInline, plan, wantPlan, planErr, wantPlanErr)
+
+		shard, shardErr := DecodeShard(data)
+		wantShard, wantShardErr := decodeEnvelope[Shard]("shard", data)
+		switch {
+		case wantShardErr != nil:
+		case wantShard.Spec == nil:
+			wantShardErr = errors.New("serve: shard: missing spec")
+		default:
+			canonicalize(wantShard.Spec)
+		}
+		checkLocated(t, "shard", data, shardInline, shard, wantShard, shardErr, wantShardErr)
+	})
+}
+
+// checkLocated compares one decoder's answer with encoding/json's and
+// checks that the locator walked every body encoding/json accepts.
+func checkLocated[T any](t *testing.T, kind string, data []byte, path []string, got, want *T, gotErr, wantErr error) {
+	t.Helper()
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("%s: decoder error %v, encoding/json error %v, on %q", kind, gotErr, wantErr, data)
+	case gotErr != nil:
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: decoder error %q, encoding/json error %q, on %q", kind, gotErr, wantErr, data)
+		}
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("%s: decoder decoded %+v, encoding/json %+v, from %q", kind, got, want, data)
+	case !locatorWalked(data, path):
+		t.Fatalf("%s: the locator gave up on %q, which encoding/json accepts", kind, data)
+	}
+}
+
+// locatorWalked reports whether the locator walked data to the end.
+func locatorWalked(data []byte, path []string) bool {
+	_, _, ok := splitInline(data, path)
+	return ok
 }
 
 // FuzzReportCodec pins the same never-panic and round-trip properties

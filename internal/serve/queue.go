@@ -18,6 +18,7 @@ package serve
 // buffers recycled, worker pools joined, arenas balanced.
 
 import (
+	"container/list"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -65,7 +66,8 @@ type QueueConfig struct {
 	// turn in submission order without blocking other tenants.
 	TenantBudget int
 	// CacheEntries bounds the completed results kept for cache hits;
-	// <= 0 selects 128. Eviction is oldest-completion-first.
+	// <= 0 selects 128. Eviction drops the least recently used result:
+	// a completion or a cache hit makes its entry the newest.
 	CacheEntries int
 	// StreamRoot is the directory spec stream refs resolve under; refs
 	// are rejected when it is empty. Paths are cleaned and confined —
@@ -398,8 +400,8 @@ type Queue struct {
 	jobs     map[string]*Job
 	finished []string                 // IDs of finished jobs, oldest first
 	inflight map[string]*run          // result key → admitted, unfinished run
-	cache    map[string]*cachedResult // result key → completed result
-	cacheAge []string                 // completion order, for eviction
+	cache    map[string]*list.Element // result key → its *cachedResult in lru
+	lru      list.List                // cached results, most recently used first
 	tenants  map[string]*tenantBudget // tenants with unfinished runs
 	admitted int                      // unfinished runs, all tenants
 	stats    QueueStats
@@ -415,7 +417,7 @@ func NewQueue(cfg QueueConfig) *Queue {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*run),
-		cache:      make(map[string]*cachedResult),
+		cache:      make(map[string]*list.Element),
 		tenants:    make(map[string]*tenantBudget),
 	}
 }
@@ -574,7 +576,9 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 	}
 
 	// Cache hit: a synthetic, already-done run carries the result.
-	if res, ok := q.cache[key]; ok {
+	if el, ok := q.cache[key]; ok {
+		q.lru.MoveToFront(el)
+		res := el.Value.(*cachedResult)
 		q.stats.CacheHits++
 		r := newRun(q.baseCtx, key)
 		r.state = StateDone
@@ -727,12 +731,9 @@ func (q *Queue) finish(r *run, rep *repro.Report, err error) {
 	case r.state == StateDone:
 		q.stats.RunsDone++
 		if _, dup := q.cache[r.key]; !dup {
-			q.cache[r.key] = &cachedResult{key: r.key, report: r.report, stats: r.runStats}
-			q.cacheAge = append(q.cacheAge, r.key)
-			for len(q.cache) > q.cfg.cacheEntries() {
-				oldest := q.cacheAge[0]
-				q.cacheAge = q.cacheAge[1:]
-				delete(q.cache, oldest)
+			q.cache[r.key] = q.lru.PushFront(&cachedResult{key: r.key, report: r.report, stats: r.runStats})
+			for q.lru.Len() > q.cfg.cacheEntries() {
+				delete(q.cache, q.lru.Remove(q.lru.Back()).(*cachedResult).key)
 			}
 		}
 	case r.state == StateCanceled:

@@ -205,6 +205,38 @@ func TestQueueCacheHitAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestQueueCacheEvictsLeastRecentlyUsed pins the cache's eviction
+// order: a hit makes its result the newest, so a full cache drops the
+// result least recently used, not the one that completed first.
+func TestQueueCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	q := NewQueue(QueueConfig{CacheEntries: 2})
+	defer q.Close()
+	ctx := context.Background()
+	submit := func(seed int64, wantHit bool) {
+		t.Helper()
+		job, err := q.Submit(ctx, smallSpec(t, seed), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if job.CacheHit != wantHit {
+			t.Fatalf("spec %d: cache hit %v, want %v", seed, job.CacheHit, wantHit)
+		}
+	}
+	const a, b, c = 11, 12, 13
+	submit(a, false)
+	submit(b, false)
+	submit(a, true)
+	submit(c, false) // evicts b, the least recently used
+	submit(a, true)
+	submit(b, false)
+	if g := q.Gauges(); g.CachedResults != 2 {
+		t.Fatalf("%d cached results, want 2", g.CachedResults)
+	}
+}
+
 // TestQueueAttachedDisconnectCancels pins the disconnect path: an
 // attached submit whose client goes away mid-run gets its run
 // cancelled, leaks no goroutines and recycles every pooled buffer.
